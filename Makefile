@@ -4,7 +4,7 @@
 PY ?= python
 export PYTHONPATH := src
 
-.PHONY: test trace-tests chaos-tests scrub-tests hedge-tests lifecycle-tests tenant-tests autopilot-tests corruption-drill hedge-drill lifecycle-drill tenant-drill autopilot-drill drill-all perf bench-smoke coverage
+.PHONY: test trace-tests chaos-tests scrub-tests hedge-tests lifecycle-tests tenant-tests autopilot-tests corruption-drill hedge-drill lifecycle-drill tenant-drill autopilot-drill drill-all pool-paper-check perf bench-smoke coverage
 
 ## tier-1: the full default suite (perf benchmarks excluded via addopts)
 test:
@@ -74,6 +74,15 @@ autopilot-drill:
 ## exits non-zero if any drill reports pass=false
 drill-all:
 	$(PY) -m repro.cli drill-all --seed 0
+
+## the paper's part-pool figures (Fig 12 distribution, Fig 16 bulk,
+## Fig 17 pool vs fair dispatch) at quarter scale; the outputs go to a
+## pytest temp dir, not results/.  Needs pytest-benchmark.
+pool-paper-check:
+	REPRO_BENCH_SCALE=0.25 $(PY) -m pytest -q --benchmark-disable \
+		benchmarks/test_fig12_distribution.py \
+		benchmarks/test_fig16_bulk.py \
+		benchmarks/test_fig17_scheduling.py
 
 ## wall-clock benchmarks (compare against BENCH_PR1.json with bench-perf)
 perf:

@@ -9,7 +9,9 @@ are deterministic under the seed; the pytest-benchmark timing merely
 records how long the simulation itself takes.
 
 Set ``REPRO_BENCH_SCALE`` (default 1.0) to scale trial counts and
-trace sizes up or down.
+trace sizes up or down.  Only a full-scale run writes ``results/``; a
+run at any other scale writes to a pytest temp dir, so a quick check
+never overwrites the committed outputs.
 """
 
 from __future__ import annotations
@@ -31,14 +33,16 @@ def scaled(n: int, minimum: int = 1) -> int:
 
 
 @pytest.fixture(scope="session")
-def results_dir() -> pathlib.Path:
+def results_dir(tmp_path_factory) -> pathlib.Path:
+    if bench_scale() != 1.0:
+        return tmp_path_factory.mktemp("results")
     RESULTS_DIR.mkdir(exist_ok=True)
     return RESULTS_DIR
 
 
 @pytest.fixture()
 def save_result(results_dir):
-    """Write an experiment's textual output to results/<name>.txt."""
+    """Write an experiment's textual output to <results_dir>/<name>.txt."""
 
     def _save(name: str, text: str) -> pathlib.Path:
         path = results_dir / f"{name}.txt"

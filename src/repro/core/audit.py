@@ -10,7 +10,8 @@ control state and reports every violated invariant:
   an ETag-only diff cannot see, checked here against the stores' true
   content hashes;
 * **stale locks** — replication locks still held past their lease
-  (a dead task nobody superseded yet);
+  (a dead task nobody superseded yet); a lock record with no owner
+  only carries the key's done marker and is not a lock;
 * **done-marker drift** — a done marker recording a sequencer above
   anything the source ever issued (bookkeeping corruption);
 * **upload leaks** — multipart uploads on the destination bucket that
@@ -117,27 +118,32 @@ class ReplicationAuditor:
             if key not in src_keys:
                 report.findings.append(AuditFinding(
                     "divergence", key, "lingers at destination after delete"))
-        # 2. stale locks & 3. done-marker drift
+        # 2. stale locks & 3. done-marker drift.  A lock record outlives
+        # its lock when it carries the key's done marker; only records
+        # with an owner are locks.
         lock_table = rule.engine._lock_table
         lease = rule.engine.locks.lease_s
         max_seq = src.last_sequencer
         for item_key, item in list(lock_table._items.items()):
-            if item_key.startswith("lock:"):
+            if not item_key.startswith("lock:"):
+                continue
+            key = item_key[len("lock:"):]
+            owner = item.get("owner")
+            if owner is not None:
                 age = now - item.get("acquired_at", now)
                 if quiescent:
                     report.findings.append(AuditFinding(
-                        "leaked-lock", item_key[len("lock:"):],
+                        "leaked-lock", key,
                         f"survives quiescence, held {age:.0f}s "
-                        f"by {item.get('owner')!r}"))
+                        f"by {owner!r}"))
                 elif age > lease:
                     report.findings.append(AuditFinding(
-                        "stale-lock", item_key[len("lock:"):],
-                        f"held {age:.0f}s by {item.get('owner')!r}"))
-            elif item_key.startswith("done:"):
-                if item["seq"] > max_seq:
-                    report.findings.append(AuditFinding(
-                        "done-drift", item_key[len("done:"):],
-                        f"marker seq {item['seq']} exceeds source seq {max_seq}"))
+                        "stale-lock", key, f"held {age:.0f}s by {owner!r}"))
+            done_seq = item.get("done_seq")
+            if done_seq is not None and done_seq > max_seq:
+                report.findings.append(AuditFinding(
+                    "done-drift", key,
+                    f"marker seq {done_seq} exceeds source seq {max_seq}"))
         # 4. multipart upload leaks at the destination
         for upload_id in dst.pending_uploads():
             report.findings.append(AuditFinding(

@@ -16,7 +16,9 @@ Consistency (§5.2): per-object replication locks serialize concurrent
 tasks (Algorithm 2); each part download is validated against the task's
 ETag and any mismatch aborts the task — exactly one replicator performs
 the cleanup and re-triggers replication of the newest version.  A
-``done`` marker per key makes re-triggered orchestrations idempotent.
+``done`` marker per key, kept in the key's lock record, makes
+re-triggered orchestrations idempotent: LOCK returns it, and UNLOCK
+advances it in the same update.
 """
 
 from __future__ import annotations
@@ -31,8 +33,8 @@ from typing import Optional, Protocol
 from repro.core.changelog import ChangelogOp, ChangelogStore
 from repro.core.config import ReplicaConfig
 from repro.core.health import BreakerState, HealthTracker, NoRouteAvailable
-from repro.core.locks import ReplicationLockManager
-from repro.core.partpool import FairAssignment, PartPool
+from repro.core.locks import DoneMarker, ReplicationLockManager
+from repro.core.partpool import FairAssignment, PartCompletion, PartPool
 from repro.core.planner import Plan, StrategyPlanner
 from repro.simcloud.cloud import Cloud
 from repro.simcloud.cost import CostCategory
@@ -178,13 +180,15 @@ class ReplicationEngine:
         # given seed must not shift with unrelated sampling.
         self._retry_rng = cloud.rngs.stream(f"retry:{rule_id}")
         # Control state lives in serverless databases, matching §7:
-        # locks + done markers beside the orchestrator (source region),
-        # part pools beside the replicators (execution region).  State is
-        # namespaced per rule — two rules replicating the same source
-        # bucket to different destinations are independent tasks.
+        # lock records (which carry the done markers) beside the
+        # orchestrator (source region), part pools beside the replicators
+        # (execution region).  State is namespaced per rule — two rules
+        # replicating the same source bucket to different destinations
+        # are independent tasks.
         self._lock_table = cloud.kv_table(src_bucket.region.key,
                                           f"{_STATE_TABLE}-{rule_id}")
-        self.locks = ReplicationLockManager(self._lock_table)
+        self.locks = ReplicationLockManager(self._lock_table,
+                                            rule_id=rule_id)
         #: Optional causal tracer (installed via :meth:`set_tracer`);
         #: every emission site below guards on one attribute read so
         #: the disabled path stays free.
@@ -315,43 +319,36 @@ class ReplicationEngine:
             self.stats["lock_lost"] += 1
         return ok
 
-    def _mark_done(self, ctx, key: str, etag: str, seq: int, time: float,
-                   op: str = "put"):
-        """Process: advance the key's done marker, monotonically in seq.
+    def _mark_and_release(self, ctx, task_id: str, key: str,
+                          marker: DoneMarker, heal: bool = False,
+                          wrote_etag: Optional[str] = None):
+        """Process: advance the key's done marker and UNLOCK in one update.
 
-        An unconditional put would let a zombie writer (or any delayed
-        straggler) clobber a newer marker with an older version's; the
-        conditional advance makes the marker a high-water mark.
-
-        Returns the *superseding* marker when the advance did not land
-        (an equal-or-newer seq was already recorded), else ``None``.
-        A superseding marker is how a straggler that just mutated the
-        destination learns its write may have clobbered a newer
-        finalized version — the fencing token cannot order two live
-        incarnations of one platform-retried task (they share owner
-        and fence), so the marker race is the only witness.
+        When the advance is superseded (the record already holds an
+        equal-or-newer marker), the lock stays held: with ``heal`` the
+        destination write this task just made is reconciled against
+        that marker first (:meth:`_reconverge_after_superseded`), and
+        only then is the lock released.  A superseding marker is how a
+        straggler that just mutated the destination learns its write
+        may have clobbered a newer finalized version — the fencing
+        token cannot order two live incarnations of one
+        platform-retried task (they share owner and fence), so the
+        marker race is the only witness.  Returns the final
+        :class:`~repro.core.locks.UnlockOutcome` for :meth:`_finish`.
         """
-        superseded: dict[str, object] = {}
-
-        def advance(item):
-            if item is not None and item.get("seq", -1) >= seq:
-                superseded.update(item)
-                return item
-            if self.tracer is not None:
-                # Emitted inside the closure: only an advance that
-                # actually lands counts (the checker compares the
-                # newest marker against the destination bucket).
-                self.tracer.event("done-marker", "engine", None,
-                                  rule=self.rule_id, key=key, seq=seq,
-                                  etag=etag, op=op)
-            return {"etag": etag, "seq": seq, "time": time, "op": op}
-
-        yield from self._kv(
-            ctx, lambda: self._lock_table.update_item(f"done:{key}", advance))
-        return dict(superseded) if superseded else None
+        outcome = yield from self._kv(
+            ctx, lambda: self.locks.release(key, task_id, marker))
+        if outcome.superseded is None:
+            return outcome
+        if heal:
+            yield from self._reconverge_after_superseded(
+                ctx, task_id, key, wrote_etag, outcome.superseded)
+        return (yield from self._kv(
+            ctx, lambda: self.locks.release(key, owner=task_id)))
 
     def _reconverge_after_superseded(self, ctx, task_id: str, key: str,
-                                     wrote_etag: Optional[str]):
+                                     wrote_etag: Optional[str],
+                                     newer: DoneMarker):
         """Process: heal a destination a superseded straggler just wrote.
 
         Two live incarnations of one platform-retried task share a
@@ -360,26 +357,22 @@ class ReplicationEngine:
         must survive the retry), so when the retried incarnation
         adopts a newer source version, the fence check cannot stop the
         original incarnation's older write from landing *after* the
-        newer finalize.  The marker high-water mark witnesses the
-        inversion; this path compares the destination against the
-        marker and, on genuine divergence, redrives the key as a
-        *repair* event (fresh task, fresh lock, fresh fence — and the
-        repair flag bypasses the very marker that masks the damage).
-        Benign losers — the newer finalize also won the destination
-        race — exit after one HEAD.  Terminates: the repair task's own
-        superseded mark-done finds destination and marker in agreement
+        newer finalize.  The superseding marker ``newer`` witnesses the
+        inversion; this path compares the destination against it and,
+        on genuine divergence, redrives the key as a *repair* event
+        (fresh task, fresh lock, fresh fence — and the repair flag
+        bypasses the very marker that masks the damage).  Benign
+        losers — the newer finalize also won the destination race —
+        exit after one HEAD.  Terminates: the repair task's own
+        superseded advance finds destination and marker in agreement
         and stops.
         """
-        done = yield from self._kv(
-            ctx, lambda: self._lock_table.get_item(f"done:{key}"))
-        if done is None:
-            return
         try:
             dst = yield from ctx.head_object(self.dst_bucket, key)
             dst_etag = dst.etag
         except NoSuchKey:
             dst_etag = None
-        if done.get("op") == "delete":
+        if newer.op == "delete":
             # The marker's newest state is absence; undo only *our
             # own* re-creation (different bytes belong to a newer
             # in-flight put, which owns its own convergence).
@@ -387,16 +380,16 @@ class ReplicationEngine:
                 self.stats["retriggered"] += 1
                 if self.tracer is not None:
                     self.tracer.event("retrigger", "engine", task_id,
-                                      key=key, seq=done.get("seq"),
+                                      key=key, seq=newer.seq,
                                       kind="superseded")
                 yield from ctx.delete_object(self.dst_bucket, key)
             return
-        if dst_etag == done.get("etag"):
+        if dst_etag == newer.etag:
             return  # benign: the newer finalize won the destination race
         self.stats["retriggered"] += 1
         if self.tracer is not None:
             self.tracer.event("retrigger", "engine", task_id, key=key,
-                              seq=done.get("seq"), kind="superseded")
+                              seq=newer.seq, kind="superseded")
         try:
             current = yield from ctx.head_object(self.src_bucket, key)
         except NoSuchKey:
@@ -820,17 +813,17 @@ class ReplicationEngine:
         version registered on it — stranded: no further event for the
         key will ever arrive, so the lease-takeover path never runs and
         the newest version never replicates.  At quiescence every
-        surviving lock record is such a casualty (a live holder would
-        still have simulation events in flight), so re-dispatch one
-        recovery task per record, delayed past lease expiry so the
-        takeover (rather than a deferral) wins.  Returns the number of
-        reclaims scheduled; the caller re-runs the simulation.
+        lock record that still has an owner is such a casualty (a live
+        holder would still have simulation events in flight), so
+        re-dispatch one recovery task per record, delayed past lease
+        expiry so the takeover (rather than a deferral) wins.  Returns
+        the number of reclaims scheduled; the caller re-runs the
+        simulation.
         """
         sim = self._lock_table.sim
         now = sim.now
         n = 0
-        for kv_key, item in self._lock_table.peek_prefix("lock:"):
-            obj_key = kv_key[len("lock:"):]
+        for obj_key, item in self.locks.held():
             seq = int(item.get("held_seq") or 0)
             etag = item.get("held_etag") or ""
             pending_seq = item.get("pending_seq")
@@ -888,8 +881,9 @@ class ReplicationEngine:
             self.stats["deferred"] += 1
             return
         lock_at = ctx.now
+        done = outcome.marker
         if payload["kind"] == "deleted":
-            yield from self._handle_delete(ctx, payload, task_id,
+            yield from self._handle_delete(ctx, payload, task_id, done,
                                            outcome.fence, lock_at)
             return
         # Re-read the source: replicate the *current* version (it covers
@@ -903,26 +897,21 @@ class ReplicationEngine:
             # this event — close the measurement here, because nobody
             # else will.  Otherwise the DELETE event is still in flight
             # and its own visibility report subsumes this sequencer.
-            done = yield from self._kv(
-                ctx, lambda: self._lock_table.get_item(f"done:{key}"))
-            if done is not None and done["seq"] >= payload["seq"]:
+            if done is not None and done.seq >= payload["seq"]:
                 self.stats["skipped_done"] += 1
                 self._record_visible(task_id, TaskResult(
-                    key=key, etag=done["etag"], seq=done["seq"],
+                    key=key, etag=done.etag, seq=done.seq,
                     event_time=payload["event_time"],
-                    visible_time=max(done.get("time", ctx.now),
-                                     payload["event_time"]),
+                    visible_time=max(done.time, payload["event_time"]),
                     plan=None, kind="already-replicated",
                     started=payload["event_time"],
                 ))
             yield from self._finish(ctx, task_id, key, None)
             return
-        done = yield from self._kv(
-            ctx, lambda: self._lock_table.get_item(f"done:{key}"))
         if (done is not None and not payload.get("repair")
-                and (done["seq"] >= current.sequencer
-                     or (done["etag"] == current.etag
-                         and done.get("op", "put") != "delete"))):
+                and (done.seq >= current.sequencer
+                     or (done.etag == current.etag
+                         and done.op != "delete"))):
             # Already replicated: a prior task shipped this version (or
             # a newer one) — possibly under an older sequencer when the
             # same *content* was re-written, e.g. by the reverse rule of
@@ -936,22 +925,23 @@ class ReplicationEngine:
             # re-created after the delete is not at the destination, so
             # only put markers may vouch by ETag.
             self.stats["skipped_done"] += 1
-            effective_seq = max(done["seq"], current.sequencer)
-            if effective_seq > done["seq"]:
-                yield from self._mark_done(ctx, key, done["etag"],
-                                           effective_seq,
-                                           done.get("time", ctx.now))
+            effective_seq = max(done.seq, current.sequencer)
+            released = None
+            if effective_seq > done.seq:
+                released = yield from self._mark_and_release(
+                    ctx, task_id, key,
+                    DoneMarker(done.etag, effective_seq, done.time))
             self._record_visible(task_id, TaskResult(
-                key=key, etag=done["etag"], seq=effective_seq,
+                key=key, etag=done.etag, seq=effective_seq,
                 event_time=payload["event_time"],
                 # When identical content was re-written, it was already
                 # visible at the destination the moment the PUT landed.
-                visible_time=max(done.get("time", ctx.now),
-                                 payload["event_time"]),
+                visible_time=max(done.time, payload["event_time"]),
                 plan=None, kind="already-replicated",
                 started=payload["event_time"],
             ))
-            yield from self._finish(ctx, task_id, key, effective_seq)
+            yield from self._finish(ctx, task_id, key, effective_seq,
+                                    released=released)
             return
         task = {
             "task_id": task_id,
@@ -986,14 +976,16 @@ class ReplicationEngine:
                 dst_current = None
         if dst_current is not None and dst_current.etag == current.etag:
             self.stats["content_skipped"] = self.stats.get("content_skipped", 0) + 1
-            yield from self._mark_done(ctx, key, current.etag,
-                                       current.sequencer, ctx.now)
+            released = yield from self._mark_and_release(
+                ctx, task_id, key,
+                DoneMarker(current.etag, current.sequencer, ctx.now))
             self._record_visible(task_id, TaskResult(
                 key=key, etag=current.etag, seq=current.sequencer,
                 event_time=payload["event_time"], visible_time=ctx.now,
                 plan=None, kind="content-match", started=ctx.now,
             ))
-            yield from self._finish(ctx, task_id, key, current.sequencer)
+            yield from self._finish(ctx, task_id, key, current.sequencer,
+                                    released=released)
             return
         if self.changelog is not None and self.config.enable_changelog:
             applied = yield from self._try_changelog(ctx, task)
@@ -1102,21 +1094,22 @@ class ReplicationEngine:
 
     # -- deletes ---------------------------------------------------------------------
 
-    def _handle_delete(self, ctx, payload, task_id, fence=None, lock_at=None):
+    def _handle_delete(self, ctx, payload, task_id,
+                       marker: Optional[DoneMarker] = None, fence=None,
+                       lock_at=None):
         key = payload["key"]
-        # Ordering guards: never let a stale DELETE clobber newer state.
-        done = yield from self._kv(
-            ctx, lambda: self._lock_table.get_item(f"done:{key}"))
-        if done is not None and done["seq"] >= payload["seq"]:
+        # Ordering guards: never let a stale DELETE clobber newer state
+        # (``marker`` is the one the lock acquisition returned).
+        if marker is not None and marker.seq >= payload["seq"]:
             self.stats["skipped_done"] += 1
             self._record_visible(task_id, TaskResult(
-                key=key, etag=done["etag"], seq=done["seq"],
+                key=key, etag=marker.etag, seq=marker.seq,
                 event_time=payload["event_time"],
-                visible_time=done.get("time", ctx.now),
+                visible_time=marker.time,
                 plan=None, kind="already-replicated",
                 started=payload["event_time"],
             ))
-            yield from self._finish(ctx, task_id, key, done["seq"])
+            yield from self._finish(ctx, task_id, key, marker.seq)
             return
         try:
             current = yield from ctx.head_object(self.src_bucket, key)
@@ -1148,22 +1141,21 @@ class ReplicationEngine:
                               seq=payload["seq"], etag=payload["etag"],
                               fence=fence, op="delete",
                               loc=ctx.region.key)
-        superseded = yield from self._mark_done(ctx, key, payload["etag"],
-                                                payload["seq"], ctx.now,
-                                                op="delete")
-        if superseded is not None:
-            # Our destination delete landed under a marker a newer
-            # finalize had already advanced: the bytes we removed may
-            # have been the newer version's.  Heal via the marker
-            # comparison (wrote_etag None — a delete writes absence).
-            yield from self._reconverge_after_superseded(ctx, task_id, key,
-                                                         None)
+        # A superseded advance means our destination delete landed under
+        # a marker a newer finalize had already advanced: the bytes we
+        # removed may have been the newer version's.  Heal via the
+        # marker comparison (wrote_etag None — a delete writes absence).
+        released = yield from self._mark_and_release(
+            ctx, task_id, key,
+            DoneMarker(payload["etag"], payload["seq"], ctx.now, "delete"),
+            heal=True)
         self._record_visible(task_id, TaskResult(
             key=key, etag=payload["etag"], seq=payload["seq"],
             event_time=payload["event_time"], visible_time=ctx.now,
             plan=None, kind="deleted",
         ))
-        yield from self._finish(ctx, task_id, key, payload["seq"])
+        yield from self._finish(ctx, task_id, key, payload["seq"],
+                                released=released)
 
     # -- changelog fast path ------------------------------------------------------------
 
@@ -1491,9 +1483,8 @@ class ReplicationEngine:
                     # needs no pool, so the fossil record cannot
                     # collide, and it finishes (and unlocks) normally.
                     done = yield from self._kv(
-                        ctx, lambda: self._lock_table.get_item(
-                            f"done:{task['key']}"))
-                    if done is not None and done["seq"] >= adopted.get(
+                        ctx, lambda: self.locks.marker(task["key"]))
+                    if done is not None and done.seq >= adopted.get(
                             "seq", -1):
                         fallback = {k: v for k, v in task.items()
                                     if k not in ("mode", "num_parts",
@@ -1540,9 +1531,25 @@ class ReplicationEngine:
     #: work; the done-set makes duplicate completions harmless.
     recovery_grace_s = 10.0
 
+    #: A finalizer that crashed mid-finalization loses its lease after
+    #: this long; a recovering worker then takes over.
+    finalize_lease_s = 60.0
+
+    def _pool(self, ctx, task) -> PartPool:
+        """The task's part pool, in the calling function's region."""
+        return PartPool(self._state_table(ctx.region.key), task["task_id"],
+                        task["num_parts"],
+                        janitor_lease_s=(self.recovery_grace_s * 3
+                                         + self.finalize_lease_s),
+                        finalizer_lease_s=self.finalize_lease_s)
+
+    @staticmethod
+    def _worker_identity(task) -> str:
+        return f"w{task.get('worker_index', 0)}"
+
     def _run_distributed_worker(self, ctx, task):
-        pool = PartPool(self._state_table(ctx.region.key), task["task_id"],
-                        task["num_parts"])
+        pool = self._pool(ctx, task)
+        me = self._worker_identity(task)
         worker_key = (task["task_id"], task.get("worker_index", 0))
         start = ctx.now
         self.worker_parts.setdefault(worker_key, 0)
@@ -1551,29 +1558,36 @@ class ReplicationEngine:
             # Fair dispatch ablation: a fixed part list, no pool claims.
             # A platform-retried worker simply redoes its list; the
             # done-set deduplicates completions.
-            part_indices = iter(task["assignments"][task["worker_index"]])
-        else:
-            part_indices = None
-        while True:
-            if part_indices is not None:
-                idx = next(part_indices, None)
-            else:
-                idx = yield from self._kv(ctx, pool.claim)
-            if idx is None:
-                self.worker_spans[worker_key] = (start, ctx.now)
-                if part_indices is None:
-                    yield from self._recover_orphaned_parts(ctx, task, pool,
-                                                            worker_key, start)
-                return
-            done = yield from self._replicate_part(ctx, task, pool,
-                                                   worker_key, start, idx)
-            if done is None:
-                return  # task aborted
-            if done:
-                return  # this worker finished the task
+            for idx in task["assignments"][task["worker_index"]]:
+                outcome = yield from self._replicate_part(
+                    ctx, task, pool, worker_key, start, idx)
+                if outcome is None or outcome.finished:
+                    return  # task aborted, or this worker finished it
+            self.worker_spans[worker_key] = (start, ctx.now)
+            return
+        # The first claim is its own update; every later claim rides on
+        # the previous part's completion (PartPool.complete_part).
+        step = yield from self._kv(ctx, lambda: pool.claim(me))
+        while type(step) is int:
+            outcome = yield from self._replicate_part(
+                ctx, task, pool, worker_key, start, step, claim_next=True)
+            if outcome is None or outcome.finished:
+                return  # task aborted, or this worker finished it
+            step = outcome.next
+            if step is None:
+                # A hedge clone settled the part, so no claim rode on
+                # the completion.
+                step = yield from self._kv(ctx, lambda: pool.claim(me))
+        self.worker_spans[worker_key] = (start, ctx.now)
+        yield from self._recover_orphaned_parts(ctx, task, pool, worker_key,
+                                                start, step)
 
-    def _replicate_part(self, ctx, task, pool, worker_key, start, idx):
-        """Process: move one part; True = task finished, None = aborted.
+    def _replicate_part(self, ctx, task, pool, worker_key, start, idx,
+                        claim_next: bool = False):
+        """Process: move one part; returns its :class:`PartCompletion`
+        (``finished`` = this worker concluded the task), or None when
+        the task aborted.  ``claim_next`` claims the worker's next part
+        in the completing update.
 
         Every part is verified end to end before it enters the done
         set: the downloaded range against the source version's content
@@ -1595,14 +1609,15 @@ class ReplicationEngine:
         if (cfg.hedging_enabled and cfg.max_clones_per_part > 0
                 and length >= cfg.hedge_min_part_bytes):
             return (yield from self._hedged_part(ctx, task, pool, worker_key,
-                                                 start, idx, offset, length))
+                                                 start, idx, offset, length,
+                                                 claim_next))
         t0 = ctx.now
         status = yield from self._part_attempt(ctx, task, pool, idx,
                                                offset, length)
         if cfg.hedging_enabled and status == "ok":
             self._hedge_samples.record(ctx.now, ctx.now - t0)
         return (yield from self._settle_part(ctx, task, pool, worker_key,
-                                             start, idx, status))
+                                             start, idx, status, claim_next))
 
     def _part_attempt(self, ctx, task, pool, idx, offset, length):
         """Process: download, verify, and upload one part range.
@@ -1649,6 +1664,15 @@ class ReplicationEngine:
                 aborted = yield from self._kv(ctx, pool.is_aborted)
                 if aborted:
                     return "aborted"
+                # Or the pool was abandoned, never aborted: a retried
+                # orchestrator re-planned elsewhere and finished the
+                # version through a new pool.  Once the done marker
+                # covers the task, nothing is left for this worker (or
+                # clone) to do; raising would dead-letter it on every
+                # redrive.
+                covered = yield from self._marker_covers(ctx, task)
+                if covered:
+                    return "aborted"
                 raise
             if part_etag == blob.etag:
                 break
@@ -1663,12 +1687,15 @@ class ReplicationEngine:
             self.stats["retransfers"] += 1
         return "ok"
 
-    def _settle_part(self, ctx, task, pool, worker_key, start, idx, status):
+    def _settle_part(self, ctx, task, pool, worker_key, start, idx, status,
+                     claim_next: bool = False):
         """Process: translate one part attempt's outcome into the worker
-        protocol — completion and finalization on success, task abort on
-        staleness, quarantine escalation on poison.  Split from the
-        attempt itself so the hedged race settles whichever contender's
-        outcome won, exactly once."""
+        protocol — completion (claiming the next part with
+        ``claim_next``) and finalization on success, task abort on
+        staleness, quarantine escalation on poison.  Returns the
+        :class:`PartCompletion`, or None when the task aborted.  Split
+        from the attempt itself so the hedged race settles whichever
+        contender's outcome won, exactly once."""
         if status == "stale":
             yield from self._abort_task(ctx, task)
             return None
@@ -1679,12 +1706,14 @@ class ReplicationEngine:
             self._quarantine(task, stage, part=idx, count=first)
         self.worker_parts[worker_key] += 1
         self.worker_spans[worker_key] = (start, ctx.now)
-        finished = yield from self._kv(ctx, lambda: pool.complete(idx))
-        if finished:
+        me = self._worker_identity(task)
+        outcome = yield from self._kv(
+            ctx, lambda: pool.complete_part(idx, me, claim_next))
+        if outcome.finished:
+            # The completing update also took the finalizer lease.
             yield from self._try_finalize(ctx, task)
             self.worker_spans[worker_key] = (start, ctx.now)
-            return True
-        return False
+        return outcome
 
     # -- speculative hedging: straggler cloning for tail latency -------------------
 
@@ -1756,7 +1785,7 @@ class ReplicationEngine:
         return result
 
     def _hedged_part(self, ctx, task, pool, worker_key, start, idx,
-                     offset, length):
+                     offset, length, claim_next: bool = False):
         """Process: one part under speculative hedging.
 
         The primary attempt runs as a child process raced against a
@@ -1873,7 +1902,7 @@ class ReplicationEngine:
         if clone_won is not None:
             self._hedge_samples.record(ctx.now, ctx.now - t0)
             self.worker_spans[worker_key] = (start, ctx.now)
-            return bool(clone_won.get("finished"))
+            return PartCompletion(False, bool(clone_won.get("finished")))
         if status == "ok":
             self._hedge_samples.record(ctx.now, ctx.now - t0)
         elif isinstance(status, tuple) and clone_q_first:
@@ -1881,7 +1910,7 @@ class ReplicationEngine:
             # count stays exactly-once per (task, part).
             status = (status[0], status[1], True)
         return (yield from self._settle_part(ctx, task, pool, worker_key,
-                                             start, idx, status))
+                                             start, idx, status, claim_next))
 
     def _run_hedge_clone(self, ctx, payload):
         """Process: one speculative clone invocation (mode "hedge-clone").
@@ -1897,8 +1926,7 @@ class ReplicationEngine:
         idx = payload["hedge_part"]
         seq = payload["hedge_seq"]
         task_id = payload["task_id"]
-        pool = PartPool(self._state_table(ctx.region.key), task_id,
-                        payload["num_parts"])
+        pool = self._pool(ctx, payload)
         state = yield from self._kv(ctx, lambda: pool.part_state(idx))
         if not state.exists or state.aborted or state.done:
             return {"part_done": False, "status": "stood-down",
@@ -1931,59 +1959,24 @@ class ReplicationEngine:
                         "first_quarantine": status[2], "finished": False}
             return {"part_done": False, "status": status,
                     "finished": False}
-        outcome = yield from self._kv(ctx, lambda: pool.complete_part(idx))
-        if outcome.first and outcome.finished:
+        outcome = yield from self._kv(
+            ctx, lambda: pool.complete_part(
+                idx, self._worker_identity(payload)))
+        if outcome.finished:
             # The clone is the exactly-one finisher: the done-set's
-            # first writer observed the finished transition.
+            # first writer observed the finished transition, and took
+            # the finalizer lease in the same update.
             yield from self._try_finalize(ctx, payload)
         return {"part_done": outcome.first, "status": "ok",
                 "finished": outcome.finished}
 
-    #: A finalizer that crashed mid-finalization loses its claim after
-    #: this long; a recovering worker then takes over.
-    finalize_lease_s = 60.0
-
-    @staticmethod
-    def _claim_lease(table, item_key: str, now: float, lease_s: float,
-                     owner: str):
-        """Process: atomically claim a leased, single-holder role.
-
-        Returns True for the claimant.  Re-entrant per ``owner`` — a
-        platform-retried function resumes its own role — and a holder
-        whose lease expired (crashed mid-role) is superseded.
-
-        ``now`` is advisory only: lease expiry is evaluated against the
-        clock *at admission time* inside the closure, because under
-        injected KV admission delay the round-trip itself consumes
-        lease time (the same stale-clock hazard as
-        ``ReplicationLockManager.lock``).
-        """
-        state = {"won": False}
-
-        def attempt(item):
-            at = table.sim.now
-            if (item is None or item.get("owner") == owner
-                    or at - item["at"] > lease_s):
-                state["won"] = True
-                return {"at": at, "owner": owner}
-            return item
-
-        yield table.update_item(item_key, attempt)
-        return state["won"]
-
-    @staticmethod
-    def _worker_identity(task) -> str:
-        return f"w{task.get('worker_index', 0)}"
-
     def _try_finalize(self, ctx, task):
-        """Process: complete the multipart upload and finish the task,
-        guarded by a leased claim so exactly one live function
-        finalizes, and a crashed finalizer can be superseded."""
-        won = yield from self._kv(ctx, lambda: self._claim_lease(
-            self._state_table(ctx.region.key), f"finalize:{task['task_id']}",
-            ctx.now, self.finalize_lease_s, self._worker_identity(task)))
-        if not won:
-            return
+        """Process: complete the multipart upload and finish the task.
+
+        The caller holds the task's finalizer lease — taken by the
+        finishing completion, or by a recovering worker's pool update —
+        so exactly one live function finalizes, and a crashed finalizer
+        is superseded once its lease expires."""
         # The zombie-writer check, distributed flavour: all parts may be
         # uploaded, but if the task's lease was stolen meanwhile, the
         # assembled object is stale — completing it would publish it
@@ -1993,8 +1986,7 @@ class ReplicationEngine:
                                        task.get("fence"),
                                        task.get("lock_at"))
         if not ok:
-            pool = PartPool(self._state_table(ctx.region.key),
-                            task["task_id"], task["num_parts"])
+            pool = self._pool(ctx, task)
             yield from self._kv(ctx, pool.abort)
             self._abort_upload(task["upload_id"])
             return
@@ -2017,48 +2009,48 @@ class ReplicationEngine:
         yield from self._finish_replicated(ctx, task, version,
                                            own_write=own_write)
 
-    def _recover_orphaned_parts(self, ctx, task, pool, worker_key, start):
+    def _recover_orphaned_parts(self, ctx, task, pool, worker_key, start,
+                                snap):
         """Fault tolerance (§6): parts claimed by a replicator that died
         mid-execution would otherwise never complete.  After a grace
         period, a surviving replicator that drained the pool re-claims
-        any still-missing parts and replicates them itself."""
-        aborted = yield from self._kv(ctx, pool.is_aborted)
-        if aborted:
+        any still-missing parts and replicates them itself.
+
+        ``snap`` is the drained :class:`PoolSnapshot` this worker's last
+        claim returned, with its janitor or finalizer lease attempt
+        already applied.
+        """
+        if snap.aborted:
             return
-        missing = yield from self._kv(ctx, pool.missing_parts)
-        if not missing:
-            yield from self._recover_finalization(ctx, task)
+        if snap.complete:
+            yield from self._recover_finalization(ctx, task, snap)
             return
         # Exactly one drained worker stays behind as the task's janitor;
         # the rest exit immediately (idle function time is billed, so a
         # task on a slow link must not keep n-1 instances waiting).  The
-        # claim is leased: a crashed janitor is superseded by the next
-        # worker that comes through (e.g. a platform retry).
-        janitor = yield from self._kv(ctx, lambda: self._claim_lease(
-            self._state_table(ctx.region.key), f"janitor:{task['task_id']}",
-            ctx.now, self.recovery_grace_s * 3 + self.finalize_lease_s,
-            self._worker_identity(task)))
-        if not janitor:
+        # janitor role is leased: a crashed janitor is superseded by the
+        # next worker that comes through (e.g. a platform retry).
+        if not snap.janitor_lease:
             return
+        me = self._worker_identity(task)
         # Poll with backoff: in the common case the missing parts are
         # merely in flight on other instances and drain within a poll
         # or two; only a genuinely stuck task waits out the full grace.
         deadline = ctx.now + self.recovery_grace_s
         backoff = 0.5
+        missing = snap.missing
         while ctx.now < deadline:
             yield ctx.sleep(min(backoff, max(0.0, deadline - ctx.now)))
             backoff *= 2
-            missing = yield from self._kv(ctx, pool.missing_parts)
+            missing = yield from self._janitor_poll(ctx, task, pool, me)
             if not missing:
-                yield from self._recover_finalization(ctx, task)
                 return
         reclaim_lease_s = 60.0
         while True:
             stalled = False
             for idx in missing:
                 won = yield from self._kv(ctx, lambda i=idx: pool.try_reclaim(
-                    i, self._worker_identity(task), ctx.now,
-                    lease_s=reclaim_lease_s))
+                    i, me, ctx.now, lease_s=reclaim_lease_s))
                 if not won:
                     # Another recoverer holds a live reclaim lease on
                     # this part — possibly this janitor's own crashed
@@ -2070,50 +2062,62 @@ class ReplicationEngine:
                     continue
                 self.stats["recovered_parts"] = (
                     self.stats.get("recovered_parts", 0) + 1)
-                done = yield from self._replicate_part(ctx, task, pool,
-                                                       worker_key, start, idx)
-                if done or done is None:
+                outcome = yield from self._replicate_part(
+                    ctx, task, pool, worker_key, start, idx)
+                if outcome is None or outcome.finished:
                     return
             if not stalled:
                 return
             yield ctx.sleep(reclaim_lease_s + 1.0)
-            aborted = yield from self._kv(ctx, pool.is_aborted)
-            if aborted:
-                return
-            missing = yield from self._kv(ctx, pool.missing_parts)
+            missing = yield from self._janitor_poll(ctx, task, pool, me)
             if not missing:
-                yield from self._recover_finalization(ctx, task)
                 return
 
-    def _recover_finalization(self, ctx, task):
-        """Process: if all parts are done but nobody recorded the task —
-        the finalizer crashed — take over finalization after its lease
-        expires."""
-        done = yield from self._kv(
-            ctx, lambda: self._lock_table.get_item(f"done:{task['key']}"))
-        if done is not None and done["seq"] >= task["seq"]:
+    def _janitor_poll(self, ctx, task, pool, me: str):
+        """Process: one janitor look at the pool; returns the parts still
+        missing, or an empty tuple once the task needs nothing more from
+        the janitor (it aborted, or every part is done — then the
+        janitor tries the finalizer lease and recovers finalization if
+        the finisher died)."""
+        snap = yield from self._kv(ctx, pool.snapshot)
+        if snap.aborted:
+            return ()
+        if not snap.complete:
+            return snap.missing
+        # A claim on the drained pool is the finalizer-lease attempt.
+        snap = yield from self._kv(ctx, lambda: pool.claim(me))
+        yield from self._recover_finalization(ctx, task, snap)
+        return ()
+
+    def _recover_finalization(self, ctx, task, snap):
+        """Process: every part is done; if nobody recorded the task —
+        the finalizer crashed — take over finalization.
+
+        ``snap`` comes from a lease-trying pool update.  Without the
+        finalizer lease a live finalizer owns the task, and this worker
+        exits with no further reads.  With it — the lease was free,
+        expired, or this worker's own (a platform-retried finalizer
+        resumes its crashed finalize) — one marker read tells whether
+        the task already finished.
+        """
+        if not snap.finalizer_lease:
             return
-        fin = yield from self._kv(
-            ctx, lambda: self._state_table(ctx.region.key).get_item(
-                f"finalize:{task['task_id']}"))
-        if (fin is not None
-                and fin.get("owner") != self._worker_identity(task)
-                and ctx.now - fin["at"] <= self.finalize_lease_s):
-            # A live finalizer owns it — but only a *different* one.
-            # ``_claim_lease`` is reentrant per owner precisely so a
-            # platform-retried finalizer resumes its own crashed
-            # finalize; standing down on our own lease would strand the
-            # task (the crashed incarnation never comes back, and this
-            # retry is the only survivor that will ever look).
+        covered = yield from self._marker_covers(ctx, task)
+        if covered:
             return
-        if fin is not None:
-            self.stats["recovered_finalize"] = (
-                self.stats.get("recovered_finalize", 0) + 1)
+        self.stats["recovered_finalize"] = (
+            self.stats.get("recovered_finalize", 0) + 1)
         yield from self._try_finalize(ctx, task)
 
+    def _marker_covers(self, ctx, task):
+        """Process: one read — does the key's done marker already cover
+        the task's version?"""
+        done = yield from self._kv(
+            ctx, lambda: self.locks.marker(task["key"]))
+        return done is not None and done.seq >= task["seq"]
+
     def _abort_task(self, ctx, task):
-        pool = PartPool(self._state_table(ctx.region.key), task["task_id"],
-                        task["num_parts"])
+        pool = self._pool(ctx, task)
         first = yield from self._kv(ctx, pool.abort)
         if not first:
             return
@@ -2182,13 +2186,10 @@ class ReplicationEngine:
                               etag=task["etag"], fence=task.get("fence"),
                               op="put", loc=ctx.region.key,
                               verified=self.config.verify_after_finalize)
-        superseded = yield from self._mark_done(ctx, task["key"],
-                                                task["etag"], task["seq"],
-                                                ctx.now)
-        if superseded is not None:
-            yield from self._reconverge_after_superseded(
-                ctx, task["task_id"], task["key"],
-                task["etag"] if own_write else None)
+        released = yield from self._mark_and_release(
+            ctx, task["task_id"], task["key"],
+            DoneMarker(task["etag"], task["seq"], ctx.now), heal=True,
+            wrote_etag=task["etag"] if own_write else None)
         plan = None
         if "plan_n" in task:
             plan = Plan(
@@ -2205,15 +2206,19 @@ class ReplicationEngine:
             event_time=task["event_time"], visible_time=ctx.now,
             plan=plan, kind=kind, started=task.get("started", task["event_time"]),
         ))
-        yield from self._finish(ctx, task["task_id"], task["key"], task["seq"])
+        yield from self._finish(ctx, task["task_id"], task["key"], task["seq"],
+                                released=released)
 
     def _finish(self, ctx, task_id: str, key: str,
                 replicated_seq: Optional[int],
-                retrigger_if_unreplicated: bool = False):
+                retrigger_if_unreplicated: bool = False, released=None):
         """Unlock and re-trigger replication of any newer pending version
-        (Algorithm 2's UNLOCK)."""
-        outcome = yield from self._kv(
-            ctx, lambda: self.locks.release(key, owner=task_id))
+        (Algorithm 2's UNLOCK).  ``released`` is the outcome of an
+        unlock the caller already made (:meth:`_mark_and_release`)."""
+        outcome = released
+        if outcome is None:
+            outcome = yield from self._kv(
+                ctx, lambda: self.locks.release(key, owner=task_id))
         if not outcome.released:
             # The lease was stolen while we worked: the record (and any
             # pending registration on it) now belongs to the thief, who

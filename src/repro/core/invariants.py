@@ -297,7 +297,7 @@ class TraceChecker:
             # The zombie-writer interleaving: someone acquired this key
             # with a higher token before our finalize ran.  The scan is
             # bounded below by our own acquire: fences restart at 1
-            # whenever a release deletes the lock record, so an earlier
+            # whenever a release clears the lock fields, so an earlier
             # *generation's* takeover token says nothing about ours.
             lo = first_acquire.get(task, -math.inf)
             for at, f2 in acquires_by_key.get(fin.attrs["key"], ()):

@@ -4,10 +4,25 @@ A replication task's data parts live in a shared pool backed by a
 serverless cloud database.  Replicator functions autonomously claim
 parts as they become available, so fast instances naturally process
 more parts than slow ones and the per-instance finish times even out
-(Fig 12/17).  The protocol costs exactly **two database accesses per
-part**: one atomic counter increment to claim the part, and one to
-record its completion; the replicator that records the final
-completion learns it is the finisher and concludes the task.
+(Fig 12/17).
+
+The protocol costs **one database access per part plus one per
+worker**.  Each worker's first claim is one atomic update; after that,
+every completion records the part in the task's done-set *and* claims
+the worker's next part in the same update.  The replicator whose
+completion is the final one learns it is the finisher, and that update
+also hands it the finalizer lease.  Algorithm 1 counts two accesses per
+part (a claim and a completion); folding the next claim into the
+completion is a deviation from its accounting, not from its behaviour.
+
+All coordination for a task lives in its one ``pool:{task}`` record:
+the claim counter, the done-set, the abort flag, and two leased roles.
+A claim that finds the pool drained returns a :class:`PoolSnapshot` —
+the abort flag and the missing parts — and, in the same update, tries
+the role the snapshot calls for: the *janitor* lease while parts are
+still missing (one worker stays behind to recover orphaned parts), the
+*finalizer* lease once all are done (a crashed finisher is superseded
+after its lease expires).
 
 The module also provides the *fair dispatch* ablation (Fig 17's
 baseline): a static, equal pre-assignment of parts computed at
@@ -16,11 +31,41 @@ invocation time with no shared state.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from typing import NamedTuple, Optional, Union
 
 from repro.simcloud.kvstore import KvTable
 
-__all__ = ["PartPool", "PartCompletion", "PartState", "FairAssignment"]
+__all__ = ["PartPool", "PartCompletion", "PartState", "PoolSnapshot",
+           "FairAssignment"]
+
+
+class PoolSnapshot(NamedTuple):
+    """A drained pool as one worker saw it.
+
+    The lease fields say whether *this caller* holds the role; they are
+    only ever True on a snapshot taken by a lease-trying update.
+    """
+
+    aborted: bool
+    num_parts: int
+    #: The done-set when the snapshot was taken.
+    done: tuple[int, ...]
+    #: The caller holds the janitor lease (parts are missing).
+    janitor_lease: bool = False
+    #: The caller holds the finalizer lease (every part is done).
+    finalizer_lease: bool = False
+
+    @property
+    def complete(self) -> bool:
+        return len(self.done) >= self.num_parts
+
+    @property
+    def missing(self) -> tuple[int, ...]:
+        """Part indices not yet in the done-set, ascending.  Computed on
+        demand: only a janitor needs the list, and most drained workers
+        are not the janitor."""
+        done = set(self.done)
+        return tuple(i for i in range(self.num_parts) if i not in done)
 
 
 class PartCompletion(NamedTuple):
@@ -32,6 +77,10 @@ class PartCompletion(NamedTuple):
     #: True for the exactly-one caller that observed the transition to
     #: fully-complete (that caller finalizes the task).
     finished: bool
+    #: With ``claim_next``: the part index claimed in the same update,
+    #: or the :class:`PoolSnapshot` of a drained pool.  None when the
+    #: completion finished the task or nothing was claimed.
+    next: Union[int, PoolSnapshot, None] = None
 
 
 class PartState(NamedTuple):
@@ -45,12 +94,16 @@ class PartState(NamedTuple):
 class PartPool:
     """Shared pool of part indices for one replication task."""
 
-    def __init__(self, table: KvTable, task_id: str, num_parts: int):
+    def __init__(self, table: KvTable, task_id: str, num_parts: int,
+                 janitor_lease_s: float = 90.0,
+                 finalizer_lease_s: float = 60.0):
         if num_parts < 1:
             raise ValueError("a task needs at least one part")
         self.table = table
         self.task_id = task_id
         self.num_parts = num_parts
+        self.janitor_lease_s = janitor_lease_s
+        self.finalizer_lease_s = finalizer_lease_s
 
     @property
     def _key(self) -> str:
@@ -64,19 +117,77 @@ class PartPool:
              "aborted": False},
         )
 
-    def claim(self):
+    # -- drained-pool snapshots and the leased roles --------------------------
+
+    def _snapshot(self, item: Optional[dict]) -> PoolSnapshot:
+        if item is None:
+            # No record: nothing this task could still need from a worker.
+            return PoolSnapshot(True, self.num_parts, ())
+        return PoolSnapshot(bool(item.get("aborted")), self.num_parts,
+                            tuple(item.get("done_parts", ())))
+
+    def _take_role(self, item: dict, owner: str) -> PoolSnapshot:
+        """Snapshot ``item`` and try the role it calls for on behalf of
+        ``owner``, mutating ``item`` when the lease is won.
+
+        A lease is won when nobody holds it, when ``owner`` already does
+        (a platform-retried function resumes its own role), or when the
+        holder's lease expired (it crashed mid-role).  The clock is read
+        here, at admission, not before the round trip.
+        """
+        snap = self._snapshot(item)
+        if snap.aborted:
+            return snap
+        role, lease_s = (("finalizer", self.finalizer_lease_s)
+                         if snap.complete
+                         else ("janitor", self.janitor_lease_s))
+        now = self.table.sim.now
+        holder = item.get(role)
+        if (holder is not None and holder != owner
+                and now - item[f"{role}_at"] <= lease_s):
+            return snap
+        item[role] = owner
+        item[f"{role}_at"] = now
+        return snap._replace(**{f"{role}_lease": True})
+
+    def snapshot(self):
+        """Process: one read of the pool as a :class:`PoolSnapshot`
+        (no lease is tried; both lease fields are False)."""
+        item = yield self.table.get_item(self._key)
+        return self._snapshot(item)
+
+    # -- Algorithm 1 ----------------------------------------------------------
+
+    def claim(self, owner: Optional[str] = None):
         """Process: atomically claim the next part index.
 
-        Returns the zero-based part index, or None when the pool is
-        exhausted (the replicator should then stop or enter recovery).
+        Returns the zero-based part index.  When the pool is exhausted
+        it returns None, or — given the claiming worker's ``owner``
+        identity — the drained :class:`PoolSnapshot` with that worker's
+        janitor/finalizer lease attempt already applied.
         """
-        claimed = yield self.table.increment(self._key, "claimed")
-        if claimed > self.num_parts:
-            return None
-        if self.table.tracer is not None:
+        state = {}
+
+        def take(item):
+            if item is None:
+                state["next"] = None if owner is None else self._snapshot(None)
+                return None
+            state["next"] = self._claim_in(item, owner)
+            return item
+
+        yield self.table.update_item(self._key, take)
+        claimed = state["next"]
+        if type(claimed) is int and self.table.tracer is not None:
             self.table.tracer.event("part-claim", "pool", self.task_id,
-                                    idx=claimed - 1)
-        return claimed - 1
+                                    idx=claimed)
+        return claimed
+
+    def _claim_in(self, item: dict, owner: Optional[str]):
+        claimed = item["claimed"]
+        if claimed < self.num_parts:
+            item["claimed"] = claimed + 1
+            return claimed
+        return None if owner is None else self._take_role(item, owner)
 
     def complete(self, part_index: int):
         """Process: record ``part_index`` done; True for the finisher.
@@ -89,32 +200,49 @@ class PartPool:
         outcome = yield from self.complete_part(part_index)
         return outcome.finished
 
-    def complete_part(self, part_index: int):
+    def complete_part(self, part_index: int, owner: Optional[str] = None,
+                      claim_next: bool = False):
         """Process: like :meth:`complete`, but returns the full
         :class:`PartCompletion` — ``first`` tells a hedged contender
         whether *its* bytes entered the done-set (first-writer-wins)
-        or a rival already completed the part.  Same single KV update.
+        or a rival already completed the part.  One KV update.
+
+        ``owner`` is the caller's worker identity: the finisher's
+        completion takes the finalizer lease in its name.  With
+        ``claim_next`` (which needs ``owner``) the same update also
+        claims the caller's next part, unless this completion finished
+        the task.
         """
-        state = {"finished": False, "first": False}
+        state = {"finished": False, "first": False, "next": None}
 
         def mark(item):
             done = item.setdefault("done_parts", [])
             if part_index in done:
                 item["duplicates"] = item.get("duplicates", 0) + 1
-                return item
-            done.append(part_index)
-            item["completed"] += 1
-            state["first"] = True
-            state["finished"] = item["completed"] == self.num_parts
+            else:
+                done.append(part_index)
+                item["completed"] += 1
+                state["first"] = True
+                if item["completed"] == self.num_parts:
+                    state["finished"] = True
+                    if owner is not None:
+                        item["finalizer"] = owner
+                        item["finalizer_at"] = self.table.sim.now
+                    return item
+            if claim_next:
+                state["next"] = self._claim_in(item, owner)
             return item
 
         yield self.table.update_item(self._key, mark)
-        if self.table.tracer is not None:
-            self.table.tracer.event("part-complete", "pool", self.task_id,
-                                    idx=part_index,
-                                    first=state["first"],
-                                    finished=state["finished"])
-        return PartCompletion(state["first"], state["finished"])
+        tracer = self.table.tracer
+        if tracer is not None:
+            tracer.event("part-complete", "pool", self.task_id,
+                         idx=part_index, first=state["first"],
+                         finished=state["finished"])
+            if type(state["next"]) is int:
+                tracer.event("part-claim", "pool", self.task_id,
+                             idx=state["next"])
+        return PartCompletion(state["first"], state["finished"], state["next"])
 
     def mark_quarantined(self, part_index: int):
         """Process: record that ``part_index`` was poison-quarantined;
@@ -149,12 +277,6 @@ class PartPool:
         """Process: part indices recorded as poison-quarantined."""
         item = yield self.table.get_item(self._key)
         return sorted(item.get("quarantined_parts", [])) if item else []
-
-    def missing_parts(self):
-        """Process: part indices not yet recorded as done (recovery)."""
-        item = yield self.table.get_item(self._key)
-        done = set(item.get("done_parts", [])) if item else set()
-        return [i for i in range(self.num_parts) if i not in done]
 
     def try_reclaim(self, part_index: int, owner: str, now: float,
                     lease_s: float = 60.0):
@@ -196,7 +318,7 @@ class PartPool:
         The hedge clone's stand-down check: a clone invoked for a part
         that has since completed (or a task that aborted, or a pool
         record already cleaned up) must do nothing — one GET instead of
-        the two reads ``is_aborted`` + ``missing_parts`` would cost.
+        the two reads ``is_aborted`` + a snapshot would cost.
         """
         item = yield self.table.get_item(self._key)
         if item is None:

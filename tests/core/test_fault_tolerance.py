@@ -173,9 +173,9 @@ class TestReplicationUnderCrashes:
             yield from pool.create()
             yield from pool.complete(1)
             yield from pool.complete(3)
-            return (yield from pool.missing_parts())
+            return (yield from pool.snapshot()).missing
 
-        assert cloud.sim.run_process(main()) == [0, 2]
+        assert cloud.sim.run_process(main()) == (0, 2)
 
     def test_try_reclaim_single_winner(self):
         cloud = build_default_cloud(seed=110)

@@ -201,20 +201,26 @@ class TestQuiescentRecovery:
         src.put_object("k", Blob.fresh(512 * KB), cloud.now)
         cloud.run()
         svc.run_to_convergence()
-        # Overwrite the source, then forge the crash residue: a lock
-        # record owned by a dead task with the new version pending.
+        # Overwrite the source, then forge the crash residue: the key's
+        # lock record (which keeps its done marker) owned by a dead task
+        # with the new version pending.
         src.put_object("k", Blob.fresh(768 * KB), cloud.now, notify=False)
         current = src.head("k")
         engine = rule.engine
-        engine._lock_table._items["lock:k"] = {
-            "owner": f"{rule.rule_id}:k:1:created", "held_etag": "dead",
-            "held_seq": 1, "acquired_at": cloud.now, "fence": 7,
-            "pending_etag": current.etag, "pending_seq": current.sequencer,
-        }
+        engine._lock_table._items["lock:k"] = dict(
+            engine._lock_table.peek("lock:k"),
+            owner=f"{rule.rule_id}:k:1:created", held_etag="dead",
+            held_seq=1, acquired_at=cloud.now, fence=7,
+            pending_etag=current.etag, pending_seq=current.sequencer,
+        )
         report = svc.run_to_convergence()
         assert report.converged, report.render()
         assert report.reclaimed_locks == 1
-        assert engine._lock_table.peek("lock:k") is None
+        # The lock is gone; the record survives as the advanced marker.
+        assert not engine.locks.is_locked("k")
+        record = engine._lock_table.peek("lock:k")
+        assert (record["done_etag"], record["done_seq"]) == (
+            current.etag, current.sequencer)
         assert dst.head("k").etag == current.etag
 
     def test_scanner_reaps_abandoned_uploads(self):

@@ -78,7 +78,7 @@ class PartPoolMachine(RuleBasedStateMachine):
 
     @invariant()
     def missing_parts_complement_done(self):
-        missing = self._run(self.pool.missing_parts())
+        missing = self._run(self.pool.snapshot()).missing
         assert set(missing) == set(range(NUM_PARTS)) - self.completed
 
 

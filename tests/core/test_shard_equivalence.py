@@ -78,12 +78,15 @@ def run_workload(seed: int, shards: int):
         markers = {}
         for rule in svc.tenant_rules(tid):
             table = rule.engine._lock_table
-            for item_key, item in table._items.items():
-                if item_key.startswith("done:"):
+            for item_key, item in table.peek_prefix("lock:"):
+                if "done_seq" in item:
                     # Drop the completion timestamp: interleaving moves
                     # it; etag/seq/op are the outcome.
-                    markers[item_key] = (item.get("etag"), item.get("seq"),
-                                         item.get("op"))
+                    markers[item_key] = (item["done_etag"], item["done_seq"],
+                                         item["done_op"])
+        # Every tenant replicated something: an empty marker map would
+        # make the comparison below vacuous.
+        assert markers, f"seed {seed} tenant {tid}: no done markers"
         fingerprint[tid] = {
             "objects": sorted((k, dst.head(k).etag, dst.head(k).size)
                               for k in dst.keys()),
