@@ -1836,13 +1836,16 @@ class ReplicationEngine:
                     if primary is None or primary.done:
                         continue
                     seq = next(self._hedge_seq)
+                    # Registered before the launch yields: a crash while
+                    # the clone is being invoked must still resolve the
+                    # hedge _fire_hedge has already announced.
+                    fired_at[seq] = ctx.now
                     inv = yield from self._fire_hedge(ctx, task, idx, seq,
                                                       deadline_s,
                                                       ctx.now - t0)
                     pending[seq] = ctx.spawn(
                         self._clone_guard(inv),
                         name=f"hedge-guard:{task_id}:{idx}:{seq}")
-                    fired_at[seq] = ctx.now
                     gate_at = ctx.now + deadline_s
                     continue
                 if tag == "primary":

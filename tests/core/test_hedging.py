@@ -201,6 +201,46 @@ class TestHedgedReplication:
         assert ReplicationAuditor(svc).audit(quiescent=True).clean
 
 
+    def test_crash_while_launching_a_clone_still_resolves_the_hedge(
+            self, monkeypatch):
+        """Regression: a worker crash that lands while the clone's
+        invocation is still being accepted used to escape the race with
+        the hedge already announced (``hedge-start`` emitted, counter
+        bumped) but never registered, so nothing resolved it and the
+        trace oracle reported ``hedge-unresolved``.  The interrupted
+        hedge must resolve as ``cancelled``."""
+        from repro.simcloud.faas import FunctionContext
+        from repro.simcloud.sim import Interrupt
+
+        invoke = FunctionContext.invoke
+        crashed = []
+
+        def crash_first_clones(self, target, name, payload,
+                               fresh_instance=False):
+            invocation = yield from invoke(self, target, name, payload,
+                                           fresh_instance=fresh_instance)
+            if payload.get("mode") == "hedge-clone" and len(crashed) < 3:
+                crashed.append(payload["hedge_seq"])
+                raise Interrupt("chaos-crash")
+            return invocation
+
+        monkeypatch.setattr(FunctionContext, "invoke", crash_first_clones)
+        cloud, svc, src, rule = _service(0, tracing=True, **HEDGE_KNOBS)
+        conv = _stalled_replay(cloud, svc, src, seed=0, requests=300)
+        assert len(crashed) == 3
+        assert conv.converged and svc.pending_count() == 0
+
+        stats = rule.engine.stats
+        assert stats["hedges"] == (stats["hedge_wins"]
+                                   + stats["hedge_losses"]
+                                   + stats["hedge_cancelled"])
+        assert stats["hedge_cancelled"] >= len(crashed)
+        report = TraceChecker(svc).check()
+        assert not report.by_kind("hedge-unresolved"), [
+            str(f) for f in report.findings]
+        assert report.clean, [str(f) for f in report.findings]
+
+
 # -- determinism contract -----------------------------------------------------
 
 
