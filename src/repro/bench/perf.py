@@ -208,11 +208,9 @@ def bench_tracegen(requests: int = 40_000, repeat: int = 3) -> float:
 
     def once() -> tuple[float, float]:
         gen = IbmCosTraceGenerator(**gen_kwargs)
-        batched = getattr(gen, "generate_batches", gen.generate)
         t0 = time.perf_counter()
-        trace = batched(duration)
-        produced = sum(len(b) for b in trace) if trace and not hasattr(
-            trace[0], "op") else len(trace)
+        trace = gen.generate_batches(duration)
+        produced = sum(len(b) for b in trace)
         return float(produced), time.perf_counter() - t0
 
     return _best_of(once, repeat)
@@ -234,33 +232,23 @@ def bench_e2e(requests: int = 3_000, repeat: int = 1) -> tuple[float, float]:
     from repro.traces.ibm_cos import IbmCosTraceGenerator
     from repro.traces.replay import TraceReplayer
 
-    gen = IbmCosTraceGenerator(seed=0)
-    if hasattr(gen, "busy_hour_batches"):
-        trace = gen.busy_hour_batches(total_requests=requests)
-        n_requests = sum(len(b) for b in trace)
-    else:
-        trace = gen.busy_hour(total_requests=requests)
-        n_requests = len(trace)
-
-    # The replay opts into fused small-object transfers (no chaos or
-    # tracing is armed here); older revisions predate the knob.
-    config_kwargs: dict = dict(profile_samples=8, fuse_small_transfers=True)
-    try:
-        ReplicaConfig(**config_kwargs)
-    except TypeError:
-        config_kwargs = dict(profile_samples=8)
+    trace = IbmCosTraceGenerator(seed=0).busy_hour_batches(
+        total_requests=requests)
+    n_requests = sum(len(b) for b in trace)
 
     best_rate, best_seconds = 0.0, math.inf
     for _ in range(max(1, repeat)):
         cloud = build_default_cloud(seed=0)
-        service = AReplicaService(cloud, ReplicaConfig(**config_kwargs))
+        # The replay opts into fused small-object transfers (no chaos or
+        # tracing is armed here).
+        service = AReplicaService(cloud, ReplicaConfig(
+            profile_samples=8, fuse_small_transfers=True))
         src = cloud.bucket("aws:us-east-1", "src")
         dst = cloud.bucket("azure:eastus", "dst")
         service.add_rule(src, dst)
         replayer = TraceReplayer(cloud, src)
-        run = getattr(replayer, "replay_all_batches", replayer.replay_all)
         t0 = time.perf_counter()
-        stats = run(trace)
+        stats = replayer.replay_all_batches(trace)
         seconds = time.perf_counter() - t0
         if stats.requests != n_requests:
             raise RuntimeError("e2e benchmark lost requests")
@@ -284,11 +272,8 @@ def bench_integrity(requests: int = 1_200, repeat: int = 2) -> float:
     from repro.traces.ibm_cos import IbmCosTraceGenerator
     from repro.traces.replay import TraceReplayer
 
-    gen = IbmCosTraceGenerator(seed=3)
-    if hasattr(gen, "busy_hour_batches"):
-        trace = gen.busy_hour_batches(total_requests=requests)
-    else:
-        trace = gen.busy_hour(total_requests=requests)
+    trace = IbmCosTraceGenerator(seed=3).busy_hour_batches(
+        total_requests=requests)
 
     def best_seconds(verify: bool) -> float:
         best = math.inf
@@ -300,10 +285,8 @@ def bench_integrity(requests: int = 1_200, repeat: int = 2) -> float:
             dst = cloud.bucket("azure:eastus", "dst")
             service.add_rule(src, dst)
             replayer = TraceReplayer(cloud, src)
-            run = getattr(replayer, "replay_all_batches",
-                          replayer.replay_all)
             t0 = time.perf_counter()
-            run(trace)
+            replayer.replay_all_batches(trace)
             best = min(best, time.perf_counter() - t0)
         return best
 
