@@ -4,7 +4,7 @@
 PY ?= python
 export PYTHONPATH := src
 
-.PHONY: test trace-tests chaos-tests scrub-tests hedge-tests lifecycle-tests tenant-tests autopilot-tests corruption-drill hedge-drill lifecycle-drill tenant-drill autopilot-drill drill-all pool-paper-check perf bench-smoke coverage
+.PHONY: test trace-tests chaos-tests scrub-tests hedge-tests lifecycle-tests tenant-tests autopilot-tests corruption-drill hedge-drill lifecycle-drill tenant-drill autopilot-drill drill-all drill-chaos pool-paper-check perf bench-smoke coverage
 
 ## tier-1: the full default suite (perf benchmarks excluded via addopts)
 test:
@@ -74,6 +74,15 @@ autopilot-drill:
 ## exits non-zero if any drill reports pass=false
 drill-all:
 	$(PY) -m repro.cli drill-all --seed 0
+
+## the documented chaos-storm + hedging variants: every lifecycle drill
+## and autopilot-drill with --chaos --hedging.  Kept out of drill-all's
+## roster so its pinned report stays byte-identical.
+drill-chaos:
+	$(PY) -m repro.cli lifecycle-drill --scenario evacuate --seed 0 --chaos --hedging --json
+	$(PY) -m repro.cli lifecycle-drill --scenario rolling --seed 0 --chaos --hedging --json
+	$(PY) -m repro.cli lifecycle-drill --scenario switchover --seed 0 --chaos --hedging --json
+	$(PY) -m repro.cli autopilot-drill --seed 0 --chaos --hedging --json
 
 ## the paper's part-pool figures (Fig 12 distribution, Fig 16 bulk,
 ## Fig 17 pool vs fair dispatch) at quarter scale; the outputs go to a

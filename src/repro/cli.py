@@ -22,7 +22,9 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Optional
+from dataclasses import dataclass
+from types import SimpleNamespace
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -47,27 +49,27 @@ def parse_size(text: str) -> int:
         raise argparse.ArgumentTypeError(f"cannot parse size {text!r}") from None
 
 
+def _hedging_config(args) -> dict:
+    """ReplicaConfig hedging fields from the --hedging knobs; empty for
+    commands without the flag or with it off."""
+    if not getattr(args, "hedging", False):
+        return {}
+    return dict(hedging_enabled=True,
+                hedge_deadline_quantile=args.hedge_quantile,
+                hedge_min_samples=args.hedge_min_samples,
+                hedge_min_part_bytes=args.hedge_min_part_bytes,
+                max_clones_per_part=args.max_clones)
+
+
 def _build_service(args, slo: float = 0.0, tracing: bool = False):
     from repro.core.config import ReplicaConfig
     from repro.core.service import AReplicaService
     from repro.simcloud.cloud import build_default_cloud
 
     cloud = build_default_cloud(seed=args.seed)
-    # Hedging rides along on any command that grew the --hedging flag;
-    # the knob getattrs fall back to the drills that predate it.
-    hedging = {}
-    if getattr(args, "hedging", False):
-        hedging = dict(
-            hedging_enabled=True,
-            hedge_deadline_quantile=getattr(args, "hedge_quantile", 0.95),
-            hedge_min_samples=getattr(args, "hedge_min_samples", 8),
-            hedge_min_part_bytes=getattr(args, "hedge_min_part_bytes",
-                                         1024 ** 2),
-            max_clones_per_part=getattr(args, "max_clones", 1),
-        )
     config = ReplicaConfig(slo_seconds=slo, percentile=args.percentile,
                            profile_samples=args.profile_samples,
-                           tracing_enabled=tracing, **hedging)
+                           tracing_enabled=tracing, **_hedging_config(args))
     service = AReplicaService(cloud, config)
     src = cloud.bucket(args.src, "src")
     dst = cloud.bucket(args.dst, "dst")
@@ -142,15 +144,11 @@ def cmd_profile(args) -> int:
     return 0
 
 
-def _machine_report(cloud, service, rule, extra=None, scenario=None,
-                    seed=None, passed=None) -> dict:
-    """The machine-checkable drill report shared by --json commands.
+def _machine_report(cloud, service, rule, extra=None) -> dict:
+    """The machine-checkable report shared by --json commands.
 
-    Drills pass ``scenario``/``seed``/``passed`` so every report shares
-    one aggregatable schema — the top-level ``scenario``, ``seed``,
-    ``pass``, and ``stats`` keys ``drill-all`` consumes.  Multi-rule
-    drills (tenant-drill) pass ``rule=None`` and get engine stats
-    summed across every rule in the service.
+    Multi-rule drills (tenant-drill) pass ``rule=None`` and get engine
+    stats summed across every rule in the service.
     """
     if rule is not None:
         engine_stats = dict(rule.engine.stats)
@@ -166,11 +164,6 @@ def _machine_report(cloud, service, rule, extra=None, scenario=None,
         "engine_stats": engine_stats,
         "parked_backlog": service.backlog_count(),
     }
-    if scenario is not None:
-        report["scenario"] = scenario
-        report["seed"] = seed
-        report["pass"] = bool(passed)
-        report["stats"] = dict(engine_stats)
     if extra:
         report.update(extra)
     return report
@@ -245,188 +238,208 @@ def cmd_audit(args) -> int:
     return 0 if report.clean else 1
 
 
-def cmd_chaos_soak(args) -> int:
-    """Replay a trace segment under a seeded fault schedule, then let the
-    storm pass, drain retries/DLQs and assert full convergence."""
-    from repro.core.audit import ReplicationAuditor
-    from repro.core.invariants import TraceChecker
+# -- drills --------------------------------------------------------------------
+#
+# Every drill is one pipeline: build a service, arm a disturbance, replay
+# or schedule the workload, let the storm pass and converge, then prove
+# the result with the quiescent audit, an optional anti-entropy scan, the
+# trace oracle and the pending-measurement count.  A ``_Drill`` spec
+# states only what differs; ``_run_drill`` owns the rest.
+
+#: The probabilistic storm ``--chaos`` layers over lifecycle-drill and
+#: autopilot-drill.
+_STORM = dict(crash_prob=0.02, notif_drop_prob=0.02, notif_dup_prob=0.02,
+              kv_reject_prob=0.02, kv_delay_prob=0.02, wan_stall_prob=0.01)
+
+_LIFECYCLE_SCENARIOS = ("evacuate", "rolling", "switchover")
+
+#: ConvergenceReport fields every drill report carries.
+_CONVERGENCE = ("converged", "rounds", "redriven", "residual_dead_letters",
+                "parked_backlog")
+
+
+@dataclass(frozen=True)
+class _Drill:
+    """One drill: plain data plus the hooks where drills differ.
+
+    ``setup(args)`` builds the service, arms the disturbance and returns
+    the run namespace (``header`` for text mode, plus ``trace`` to replay
+    or ``requests`` already scheduled).  ``fields(run)`` returns the
+    drill's extra report fields, ``gates(run, fields)`` its extra pass
+    conditions and ``lines(run, fields)`` its extra text lines.
+    """
+
+    setup: Callable
+    fields: Callable = lambda run: {}
+    gates: Callable = lambda run, f: True
+    lines: Callable = lambda run, f: []
+    #: Anti-entropy scan after the audit: "" (none), "redrive", or
+    #: "scrub" (redrive + byte-level scrub + reap abandoned uploads).
+    scan: str = ""
+    #: ConvergenceReport fields reported beyond ``_CONVERGENCE``.
+    convergence: tuple = ()
+    #: Runs right after convergence, before the audit.
+    settle: Optional[Callable] = None
+    #: The disturbance is an absolute-time window the workload plays
+    #: through, so chaos is cleared only after convergence.
+    chaos_through_convergence: bool = False
+    #: Report scenario name, formatted with the parsed arguments.
+    name: str = "{command}"
+    #: drill-all runs the drill once per argument variant.
+    variants: tuple = ((),)
+    verdicts: tuple = ("PASS", "FAIL")
+
+
+def _counters(stats, names) -> list[str]:
+    return [f"  {name:<26} {stats[name]}" for name in names]
+
+
+def _replay_setup(args, chaos: Optional[dict] = None):
+    """Single-rule drills: one traced rule and the seeded busy-hour trace
+    the runner replays.  Chaos goes live only after onboarding: faults
+    are injected into the running service, not into the offline
+    profiling step."""
     from repro.simcloud.chaos import ChaosConfig
     from repro.traces.ibm_cos import IbmCosTraceGenerator
-    from repro.traces.replay import TraceReplayer
 
-    chaos = ChaosConfig(
-        crash_prob=args.crash_prob,
-        notif_drop_prob=args.notif_drop,
-        notif_dup_prob=args.notif_dup,
-        notif_reorder_prob=args.notif_reorder,
-        kv_reject_prob=args.kv_reject,
-        kv_delay_prob=args.kv_delay,
-        wan_stall_prob=args.wan_stall,
-    )
     cloud, service, src, dst, rule = _build_service(args, slo=args.slo,
                                                     tracing=True)
-    # Chaos goes live only after onboarding: faults are injected into
-    # the running service, not into the offline profiling step.
-    cloud.apply_chaos(chaos)
+    if chaos:
+        cloud.apply_chaos(ChaosConfig(**chaos))
     trace = IbmCosTraceGenerator(seed=args.seed).busy_hour(
         total_requests=args.requests)
-    if not args.json:
-        print(f"soaking {len(trace)} requests under chaos "
-              f"(crash={chaos.crash_prob}, drop={chaos.notif_drop_prob}, "
-              f"dup={chaos.notif_dup_prob}, "
-              f"reorder={chaos.notif_reorder_prob}, "
-              f"kv-reject={chaos.kv_reject_prob}, "
-              f"kv-delay={chaos.kv_delay_prob}, "
-              f"wan-stall={chaos.wan_stall_prob}) ...")
-    stats = TraceReplayer(cloud, src).replay_all(trace)
-    injected = cloud.chaos_stats()
-    # The storm passes; whatever it broke must now self-heal.
-    cloud.apply_chaos(None)
-    convergence = service.run_to_convergence()
-    report = ReplicationAuditor(service).audit(quiescent=True)
-    trace_report = TraceChecker(service).check()
-    pending = service.pending_count()
-    clean = (report.clean and trace_report.clean and pending == 0
-             and convergence.converged)
-
-    if args.json:
-        _print_json(_machine_report(cloud, service, rule, {
-            "requests": stats.requests,
-            "convergence": {
-                "converged": convergence.converged,
-                "rounds": convergence.rounds,
-                "redriven": convergence.redriven,
-                "residual_dead_letters": convergence.residual_dead_letters,
-                "parked_backlog": convergence.parked_backlog,
-            },
-            "audit_clean": report.clean,
-            "trace_clean": trace_report.clean,
-            "trace_checked": trace_report.checked,
-            "trace_findings": [str(f) for f in trace_report.findings],
-            "pending_measurements": pending,
-            "result": "CONVERGED" if clean else "DIVERGED",
-        }, scenario="chaos-soak", seed=args.seed, passed=clean))
-        return 0 if clean else 1
-
-    print(f"replayed {stats.requests} requests "
-          f"({stats.bytes_written / 1e9:.2f} GB)")
-    print("injected faults:")
-    for name, count in injected.items():
-        print(f"  {name:<26} {count}")
-    engine = rule.engine.stats
-    print("engine recovery:")
-    for name in ("lock_lost", "orphaned_uploads", "kv_retries",
-                 "kv_retry_exhausted", "kv_retry_deadline", "aborted",
-                 "retriggered", "parked", "drained"):
-        print(f"  {name:<26} {engine[name]}")
-    print("dead-letter drain: " + convergence.render())
-    print(f"convergence audit ({pending} pending measurement(s)):")
-    print(report.render())
-    print(trace_report.render())
-    print("RESULT: " + ("CONVERGED" if clean else "DIVERGED"))
-    return 0 if clean else 1
+    return SimpleNamespace(args=args, cloud=cloud, service=service, src=src,
+                           dst=dst, rule=rule, trace=trace)
 
 
-def cmd_outage_drill(args) -> int:
+def _tenant_setup(args, tenant, **config):
+    """Multi-tenant drills: a sharded service with ``--tenants`` tenants,
+    each on its own bucket pair with the ``TenantConfig`` fields
+    ``tenant(i, budget)`` returns; ``budget`` is ``--budget-tasks``
+    tasks' worth of spend per window."""
+    from repro.core.config import ReplicaConfig, TenantConfig
+    from repro.core.service import AReplicaService
+    from repro.simcloud.cloud import build_default_cloud
+    from repro.simcloud.cost import estimate_task_cost
+
+    cloud = build_default_cloud(seed=args.seed)
+    service = AReplicaService(cloud, ReplicaConfig(
+        profile_samples=args.profile_samples, tracing_enabled=True,
+        **config, **_hedging_config(args)))
+    service.enable_multitenancy(shards=args.shards,
+                                max_concurrent=args.max_concurrent)
+    # One offline profiling pass covers every tenant: the performance
+    # model is keyed by region path, and all tenants ride one pair.
+    probe_src = cloud.bucket(args.src, "profile-probe-src")
+    probe_dst = cloud.bucket(args.dst, "profile-probe-dst")
+    service.profiler.ensure_path(args.src, probe_src, probe_dst)
+    if args.dst != args.src:
+        service.profiler.ensure_path(args.dst, probe_src, probe_dst)
+    task_cost = estimate_task_cost(cloud.prices, probe_src.region,
+                                   probe_dst.region, args.object_size)
+    budget = args.budget_tasks * task_cost
+    states = []
+    for i in range(args.tenants):
+        fields = tenant(i, budget)
+        src = cloud.bucket(args.src, f"{fields['tenant_id']}-src")
+        dst = cloud.bucket(args.dst, f"{fields['tenant_id']}-dst")
+        states.append(service.add_tenant(TenantConfig(
+            buckets=(src.name, dst.name), budget_window_s=args.budget_window,
+            **fields), src, dst))
+    # Offline profiling consumed simulated time: PUT times are relative
+    # to ``base``.
+    return SimpleNamespace(args=args, cloud=cloud, service=service, rule=None,
+                           trace=None, budget=budget, states=states,
+                           base=cloud.sim.now)
+
+
+def _schedule_puts(run, puts) -> None:
+    """Schedule ``(t, tenant state, key)`` PUTs at ``run.base + t``."""
+    from repro.simcloud.objectstore import Blob
+
+    cloud, size = run.cloud, run.args.object_size
+    for t, state, key in puts:
+        cloud.sim.call_at(
+            run.base + t, lambda b=state.src_bucket, k=key: b.put_object(
+                k, Blob.fresh(size), cloud.sim.now))
+    run.requests = len(puts)
+
+
+def _tenant_verdicts(run) -> dict:
+    """Per-tenant report fields both multi-tenant drills share."""
+    tenants = run.service.tenant_summary()
+    return {
+        "tenants": len(tenants),
+        "tenant_verdicts": tenants,
+        "unconverged_tenants": sorted(t for t, row in tenants.items()
+                                      if not row["converged"]),
+        "over_admitted_tenants": sorted(t for t, row in tenants.items()
+                                        if row["over_admissions"] > 0),
+    }
+
+
+def _chaos_soak(args):
+    """Replay a trace segment under a seeded fault schedule, then let the
+    storm pass, drain retries/DLQs and assert full convergence."""
+    run = _replay_setup(args, dict(
+        crash_prob=args.crash_prob, notif_drop_prob=args.notif_drop,
+        notif_dup_prob=args.notif_dup, notif_reorder_prob=args.notif_reorder,
+        kv_reject_prob=args.kv_reject, kv_delay_prob=args.kv_delay,
+        wan_stall_prob=args.wan_stall))
+    run.header = (f"soaking {len(run.trace)} requests under chaos "
+                  f"(crash={args.crash_prob}, drop={args.notif_drop}, "
+                  f"dup={args.notif_dup}, reorder={args.notif_reorder}, "
+                  f"kv-reject={args.kv_reject}, kv-delay={args.kv_delay}, "
+                  f"wan-stall={args.wan_stall}) ...")
+    return run
+
+
+def _outage(args):
     """Sustained regional outage drill: every substrate in one region
     goes dark mid-trace.  The drill passes only if the service degrades
     by *parking* work (not dropping it), drains the backlog after
     recovery, and a quiescent audit plus anti-entropy scan find zero
     divergence."""
-    from repro.core.audit import ReplicationAuditor
-    from repro.core.invariants import TraceChecker
-    from repro.core.repair import AntiEntropyScanner
-    from repro.simcloud.chaos import ChaosConfig
-    from repro.traces.ibm_cos import IbmCosTraceGenerator
-    from repro.traces.replay import TraceReplayer
-
-    cloud, service, src, dst, rule = _build_service(args, slo=args.slo,
-                                                    tracing=True)
     region = args.outage_region or args.src
     window = ((region, args.outage_start, args.outage_duration),)
     # Black out every substrate at once: functions fast-fail, the KV
     # store throttles unconditionally, and WAN legs touching the region
     # stall until the window closes.
-    cloud.apply_chaos(ChaosConfig(faas_outages=window, kv_outages=window,
-                                  wan_outages=window))
-    trace = IbmCosTraceGenerator(seed=args.seed).busy_hour(
-        total_requests=args.requests)
-    if not args.json:
-        print(f"drilling {len(trace)} requests with {region} dark from "
-              f"t={args.outage_start:.0f}s for {args.outage_duration:.0f}s ...")
-    stats = TraceReplayer(cloud, src).replay_all(trace)
-    injected = cloud.chaos_stats()
-    cloud.apply_chaos(None)
-    convergence = service.run_to_convergence()
-    audit = ReplicationAuditor(service).audit(quiescent=True)
-    repair = AntiEntropyScanner(service).scan(rule, redrive=True)
-    if repair.redriven:
-        # Repairs flow through the normal orchestration path; let them
-        # complete, then prove the diff is gone.
-        convergence = service.run_to_convergence()
-        audit = ReplicationAuditor(service).audit(quiescent=True)
-        repair = AntiEntropyScanner(service).scan(rule, redrive=False)
-    pending = service.pending_count()
-    trace_report = TraceChecker(service).check()
-    engine = rule.engine
-    degraded = engine.stats["parked"] > 0
-    clean = (degraded and convergence.converged and audit.clean
-             and repair.clean and trace_report.clean and pending == 0)
-
-    if args.json:
-        _print_json(_machine_report(cloud, service, rule, {
-            "requests": stats.requests,
-            "outage": {"region": region, "start_s": args.outage_start,
-                       "duration_s": args.outage_duration},
-            "degradation_engaged": degraded,
-            "trace_clean": trace_report.clean,
-            "trace_checked": trace_report.checked,
-            "trace_findings": [str(f) for f in trace_report.findings],
-            "backlog_drained_at_s": engine.backlog_drained_at,
-            "health_transitions": len(service.health.transitions)
-            if service.health is not None else 0,
-            "convergence": {
-                "converged": convergence.converged,
-                "rounds": convergence.rounds,
-                "redriven": convergence.redriven,
-                "residual_dead_letters": convergence.residual_dead_letters,
-                "parked_backlog": convergence.parked_backlog,
-            },
-            "audit_clean": audit.clean,
-            "repair": repair.to_dict(),
-            "pending_measurements": pending,
-            "result": "PASS" if clean else "FAIL",
-        }, scenario="outage-drill", seed=args.seed, passed=clean))
-        return 0 if clean else 1
-
-    print(f"replayed {stats.requests} requests "
-          f"({stats.bytes_written / 1e9:.2f} GB)")
-    print("injected faults:")
-    for name, count in injected.items():
-        if count:
-            print(f"  {name:<26} {count}")
-    print("degraded operation:")
-    for name in ("parked", "drained", "probes", "failover",
-                 "backlog_kv_failed", "kv_retry_deadline"):
-        print(f"  {name:<26} {engine.stats[name]}")
-    if service.health is not None:
-        print(f"  {'breaker_transitions':<26} "
-              f"{len(service.health.transitions)}")
-    if engine.backlog_drained_at is not None:
-        print(f"  backlog drained at t={engine.backlog_drained_at:.1f}s")
-    print("recovery: " + convergence.render())
-    print(f"quiescent audit ({pending} pending measurement(s)):")
-    print(audit.render())
-    print(repair.render())
-    print(trace_report.render())
-    print("RESULT: " + ("PASS" if clean else "FAIL"))
-    if not degraded:
-        print("  (outage never engaged the degraded path — lengthen the "
-              "window or raise --requests)", file=sys.stderr)
-    return 0 if clean else 1
+    run = _replay_setup(args, dict(faas_outages=window, kv_outages=window,
+                                   wan_outages=window))
+    run.header = (f"drilling {len(run.trace)} requests with {region} dark "
+                  f"from t={args.outage_start:.0f}s for "
+                  f"{args.outage_duration:.0f}s ...")
+    return run
 
 
-def cmd_corruption_drill(args) -> int:
+def _outage_fields(run) -> dict:
+    args, engine, health = run.args, run.rule.engine, run.service.health
+    return {
+        "outage": {"region": args.outage_region or args.src,
+                   "start_s": args.outage_start,
+                   "duration_s": args.outage_duration},
+        "degradation_engaged": engine.stats["parked"] > 0,
+        "backlog_drained_at_s": engine.backlog_drained_at,
+        "health_transitions": len(health.transitions)
+        if health is not None else 0,
+    }
+
+
+def _outage_lines(run, f) -> list[str]:
+    lines = ["degraded operation:", *_counters(
+        run.rule.engine.stats, ("parked", "drained", "probes", "failover",
+                                "backlog_kv_failed", "kv_retry_deadline"))]
+    lines.append(f"  {'breaker_transitions':<26} {f['health_transitions']}")
+    if f["backlog_drained_at_s"] is not None:
+        lines.append(f"  backlog drained at t={f['backlog_drained_at_s']:.1f}s")
+    if not f["degradation_engaged"]:
+        lines.append("  (outage never engaged the degraded path — lengthen "
+                     "the window or raise --requests)")
+    return lines
+
+
+def _corruption(args):
     """End-to-end data-integrity drill under a silent-corruption storm.
 
     Replays a workload while the chaos layer flips bits on WAN
@@ -439,118 +452,65 @@ def cmd_corruption_drill(args) -> int:
     silent-corruption invariants) is clean, and a quiescent audit finds
     zero divergence: zero silent finalizes, ever.
     """
-    from repro.core.audit import ReplicationAuditor
-    from repro.core.invariants import TraceChecker
-    from repro.core.repair import AntiEntropyScanner
-    from repro.simcloud.chaos import ChaosConfig
-    from repro.traces.ibm_cos import IbmCosTraceGenerator
-    from repro.traces.replay import TraceReplayer
-
-    chaos = ChaosConfig(
-        corrupt_get_prob=args.corrupt_get,
-        corrupt_put_prob=args.corrupt_put,
+    run = _replay_setup(args, dict(
+        corrupt_get_prob=args.corrupt_get, corrupt_put_prob=args.corrupt_put,
         corrupt_at_rest_prob=args.at_rest,
         corrupt_truncate_prob=args.truncate,
-        corrupt_wrong_etag_prob=args.wrong_etag,
-    )
-    cloud, service, src, dst, rule = _build_service(args, slo=args.slo,
-                                                    tracing=True)
-    cloud.apply_chaos(chaos)
-    trace = IbmCosTraceGenerator(seed=args.seed).busy_hour(
-        total_requests=args.requests)
-    if not args.json:
-        print(f"corrupting {len(trace)} requests "
-              f"(get={chaos.corrupt_get_prob}, put={chaos.corrupt_put_prob}, "
-              f"at-rest={chaos.corrupt_at_rest_prob}, "
-              f"truncate={chaos.corrupt_truncate_prob}, "
-              f"wrong-etag={chaos.corrupt_wrong_etag_prob}) ...")
-    stats = TraceReplayer(cloud, src).replay_all(trace)
-    # The storm passes; quarantined parts and dead-lettered tasks must
-    # now heal through the ordinary redrive machinery.
-    cloud.apply_chaos(None)
-    convergence = service.run_to_convergence()
+        corrupt_wrong_etag_prob=args.wrong_etag))
+    run.header = (f"corrupting {len(run.trace)} requests "
+                  f"(get={args.corrupt_get}, put={args.corrupt_put}, "
+                  f"at-rest={args.at_rest}, truncate={args.truncate}, "
+                  f"wrong-etag={args.wrong_etag}) ...")
+    return run
 
-    # Durable silent rot: the destination's bytes decay *after* a
-    # verified finalize, while HEAD keeps reporting the old ETag.  Only
-    # the byte-level scrub can see this.
-    scanner = AntiEntropyScanner(service)
-    rot_keys = [k for k in dst.keys() if dst.head(k).size > 0]
-    rot_keys = rot_keys[:args.rot_keys]
-    for key in rot_keys:
-        dst.rot_object(key)
-    scrub = scanner.scan(rule, redrive=True, scrub=True)
-    if scrub.redriven:
-        convergence = service.run_to_convergence()
-    rescrub = scanner.scan(rule, redrive=False, scrub=True)
 
-    audit = ReplicationAuditor(service).audit(quiescent=True)
-    trace_report = TraceChecker(service).check()
-    integrity = service.integrity_snapshot()
-    trace_integrity = service.tracer.integrity_summary()
-    pending = service.pending_count()
+def _rot_and_scrub(run) -> None:
+    """Durable silent rot: the destination's bytes decay *after* a
+    verified finalize, while HEAD keeps reporting the old ETag.  Only
+    the byte-level scrub can see this."""
+    from repro.core.repair import AntiEntropyScanner
 
+    scanner = AntiEntropyScanner(run.service)
+    run.rot_keys = [k for k in run.dst.keys()
+                    if run.dst.head(k).size > 0][:run.args.rot_keys]
+    for key in run.rot_keys:
+        run.dst.rot_object(key)
+    run.scrub = scanner.scan(run.rule, redrive=True, scrub=True)
+    if run.scrub.redriven:
+        run.convergence = run.service.run_to_convergence()
+    run.rescrub = scanner.scan(run.rule, redrive=False, scrub=True)
+
+
+def _corruption_fields(run) -> dict:
     # Reconcile offense and defense: every fault the chaos layer
     # injected (including the deterministic rot) must have been caught
     # by a verifying reader — the engine per part, the scrub per
     # object.  A shortfall means a corruption slipped through unseen.
-    injected = integrity["injected"]
+    integrity = run.service.integrity_snapshot()
     detected = (integrity["corrupt_detected"]
-                + len(scrub.by_kind("corrupt")) + scrub.transient_anomalies)
-    accounted = detected >= injected
-    clean = (accounted and convergence.converged and audit.clean
-             and rescrub.clean and trace_report.clean and pending == 0
-             and len(scrub.by_kind("corrupt")) == len(rot_keys))
-
-    if args.json:
-        _print_json(_machine_report(cloud, service, rule, {
-            "requests": stats.requests,
-            "injected_corruptions": injected,
-            "detected_corruptions": detected,
-            "accounted": accounted,
-            "integrity": integrity,
-            "trace_integrity": trace_integrity,
-            "rotted_keys": rot_keys,
-            "scrub": scrub.to_dict(),
-            "rescrub_clean": rescrub.clean,
-            "convergence": {
-                "converged": convergence.converged,
-                "rounds": convergence.rounds,
-                "redriven": convergence.redriven,
-                "residual_dead_letters": convergence.residual_dead_letters,
-                "parked_backlog": convergence.parked_backlog,
-            },
-            "audit_clean": audit.clean,
-            "trace_clean": trace_report.clean,
-            "trace_checked": trace_report.checked,
-            "trace_findings": [str(f) for f in trace_report.findings],
-            "pending_measurements": pending,
-            "result": "PASS" if clean else "FAIL",
-        }, scenario="corruption-drill", seed=args.seed, passed=clean))
-        return 0 if clean else 1
-
-    print(f"replayed {stats.requests} requests "
-          f"({stats.bytes_written / 1e9:.2f} GB)")
-    print("injected corruption:")
-    for name, count in cloud.chaos_stats().items():
-        if name.startswith("corrupt") and count:
-            print(f"  {name:<26} {count}")
-    print("defense response:")
-    for name, count in integrity.items():
-        print(f"  {name:<26} {count}")
-    print(f"  {'detected_total':<26} {detected} "
-          f"({'accounted' if accounted else 'SHORTFALL'})")
-    print("dead-letter drain: " + convergence.render())
-    print(f"deep scrub ({len(rot_keys)} key(s) durably rotted):")
-    print(scrub.render())
-    print(rescrub.render())
-    print(f"quiescent audit ({pending} pending measurement(s)):")
-    print(audit.render())
-    print(trace_report.render())
-    print("RESULT: " + ("PASS" if clean else "FAIL"))
-    return 0 if clean else 1
+                + len(run.scrub.by_kind("corrupt"))
+                + run.scrub.transient_anomalies)
+    return {
+        "injected_corruptions": integrity["injected"],
+        "detected_corruptions": detected,
+        "accounted": detected >= integrity["injected"],
+        "integrity": integrity,
+        "trace_integrity": run.service.tracer.integrity_summary(),
+        "rotted_keys": run.rot_keys,
+        "scrub": run.scrub.to_dict(),
+        "rescrub_clean": run.rescrub.clean,
+    }
 
 
-def cmd_hedge_drill(args) -> int:
+def _corruption_lines(run, f) -> list[str]:
+    return ["defense response:", *_counters(f["integrity"], f["integrity"]),
+        f"  {'detected_total':<26} {f['detected_corruptions']} "
+        f"({'accounted' if f['accounted'] else 'SHORTFALL'})",
+        f"deep scrub ({len(run.rot_keys)} key(s) durably rotted):",
+        run.scrub.render(), run.rescrub.render()]
+
+
+def _hedge(args):
     """Speculative-hedging drill: tail-latency cloning under chaos.
 
     Replays a busy-hour segment with hedging enabled and a
@@ -562,206 +522,107 @@ def cmd_hedge_drill(args) -> int:
     was double-finalized, the cloning ledger line reconciles, and the
     quiescent audit plus trace oracle are clean.
     """
-    from repro.core.audit import ReplicationAuditor
-    from repro.core.invariants import TraceChecker
-    from repro.simcloud.chaos import ChaosConfig
-    from repro.traces.ibm_cos import IbmCosTraceGenerator
-    from repro.traces.replay import TraceReplayer
-
-    args.hedging = True
-    chaos = ChaosConfig(crash_prob=args.crash_prob,
-                        wan_stall_prob=args.wan_stall)
-    cloud, service, src, dst, rule = _build_service(args, slo=args.slo,
-                                                    tracing=True)
-    cloud.apply_chaos(chaos)
-    trace = IbmCosTraceGenerator(seed=args.seed).busy_hour(
-        total_requests=args.requests)
-    if not args.json:
-        print(f"hedge-drilling {len(trace)} requests "
-              f"(q={args.hedge_quantile}, min-samples={args.hedge_min_samples}, "
-              f"min-part={args.hedge_min_part_bytes}B, "
-              f"clones<={args.max_clones}, crash={chaos.crash_prob}, "
-              f"wan-stall={chaos.wan_stall_prob}) ...")
-    stats = TraceReplayer(cloud, src).replay_all(trace)
-    cloud.apply_chaos(None)
-    convergence = service.run_to_convergence()
-    audit = ReplicationAuditor(service).audit(quiescent=True)
-    trace_report = TraceChecker(service).check()
-    pending = service.pending_count()
-    engine = rule.engine.stats
-    resolved = (engine["hedge_wins"] + engine["hedge_losses"]
-                + engine["hedge_cancelled"])
-    hedge_cost = sum(c.amount for c in service.tracer.costs
-                     if c.category == "hedge_clones")
-    clean = (engine["hedges"] > 0 and resolved == engine["hedges"]
-             and audit.clean and trace_report.clean
-             and convergence.converged and pending == 0)
-
-    if args.json:
-        _print_json(_machine_report(cloud, service, rule, {
-            "requests": stats.requests,
-            "hedging": {
-                "hedges": engine["hedges"],
-                "hedge_wins": engine["hedge_wins"],
-                "hedge_losses": engine["hedge_losses"],
-                "hedge_cancelled": engine["hedge_cancelled"],
-                "resolved": resolved,
-                "clone_cost_usd": hedge_cost,
-                "deadline_quantile": args.hedge_quantile,
-                "max_clones_per_part": args.max_clones,
-            },
-            "convergence": {
-                "converged": convergence.converged,
-                "rounds": convergence.rounds,
-                "redriven": convergence.redriven,
-                "residual_dead_letters": convergence.residual_dead_letters,
-                "parked_backlog": convergence.parked_backlog,
-            },
-            "audit_clean": audit.clean,
-            "trace_clean": trace_report.clean,
-            "trace_checked": trace_report.checked,
-            "trace_findings": [str(f) for f in trace_report.findings],
-            "pending_measurements": pending,
-            "result": "PASS" if clean else "FAIL",
-        }, scenario="hedge-drill", seed=args.seed, passed=clean))
-        return 0 if clean else 1
-
-    print(f"replayed {stats.requests} requests "
-          f"({stats.bytes_written / 1e9:.2f} GB)")
-    print("hedging:")
-    for name in ("hedges", "hedge_wins", "hedge_losses", "hedge_cancelled"):
-        print(f"  {name:<26} {engine[name]}")
-    print(f"  {'clone_cost_usd':<26} {hedge_cost:.6f}")
-    print("dead-letter drain: " + convergence.render())
-    print(f"quiescent audit ({pending} pending measurement(s)):")
-    print(audit.render())
-    print(trace_report.render())
-    print("RESULT: " + ("PASS" if clean else "FAIL"))
-    if engine["hedges"] == 0:
-        print("  (no hedge ever fired — lower --hedge-quantile / "
-              "--hedge-min-samples or raise --requests)", file=sys.stderr)
-    return 0 if clean else 1
+    run = _replay_setup(args, dict(crash_prob=args.crash_prob,
+                                   wan_stall_prob=args.wan_stall))
+    run.header = (f"hedge-drilling {len(run.trace)} requests "
+                  f"(q={args.hedge_quantile}, "
+                  f"min-samples={args.hedge_min_samples}, "
+                  f"min-part={args.hedge_min_part_bytes}B, "
+                  f"clones<={args.max_clones}, crash={args.crash_prob}, "
+                  f"wan-stall={args.wan_stall}) ...")
+    return run
 
 
-def cmd_lifecycle_drill(args) -> int:
+_HEDGE_COUNTERS = ("hedges", "hedge_wins", "hedge_losses", "hedge_cancelled")
+
+
+def _hedge_fields(run) -> dict:
+    hedging = {name: run.rule.engine.stats[name] for name in _HEDGE_COUNTERS}
+    hedging.update(
+        resolved=sum(hedging[name] for name in _HEDGE_COUNTERS[1:]),
+        clone_cost_usd=sum(c.amount for c in run.service.tracer.costs
+                           if c.category == "hedge_clones"),
+        deadline_quantile=run.args.hedge_quantile,
+        max_clones_per_part=run.args.max_clones)
+    return {"hedging": hedging}
+
+
+def _hedge_lines(run, f) -> list[str]:
+    hedging = f["hedging"]
+    lines = ["hedging:", *_counters(hedging, _HEDGE_COUNTERS)]
+    lines.append(f"  {'clone_cost_usd':<26} {hedging['clone_cost_usd']:.6f}")
+    if hedging["hedges"] == 0:
+        lines.append("  (no hedge ever fired — lower --hedge-quantile / "
+                     "--hedge-min-samples or raise --requests)")
+    return lines
+
+
+def _lifecycle(args):
     """Planned-operations drill: run one lifecycle procedure mid-trace.
 
     Schedules a region evacuation, rolling engine restart, or planned
     orchestration switchover against a live loaded engine (optionally
     concurrent with a chaos storm and with hedging on), lets the run
-    converge, then proves via the trace oracle — including the new
+    converge, then proves via the trace oracle — including the
     switchover-discipline and cordon invariants — plus a quiescent
     audit and a byte-level deep scrub that no object was lost,
     duplicated, or left divergent, and that the procedure actually
     engaged (cordons applied, checkpoint written, or switchover
     performed) within its drain deadline.
     """
-    from repro.core.audit import ReplicationAuditor
-    from repro.core.invariants import TraceChecker
     from repro.core.lifecycle import OperationsRunner
-    from repro.core.repair import AntiEntropyScanner
-    from repro.simcloud.chaos import ChaosConfig
-    from repro.traces.ibm_cos import IbmCosTraceGenerator
-    from repro.traces.replay import TraceReplayer
 
-    cloud, service, src, dst, rule = _build_service(args, slo=args.slo,
-                                                    tracing=True)
-    if args.chaos:
-        cloud.apply_chaos(ChaosConfig(
-            crash_prob=0.02, notif_drop_prob=0.02, notif_dup_prob=0.02,
-            kv_reject_prob=0.02, kv_delay_prob=0.02, wan_stall_prob=0.01))
-    runner = OperationsRunner(service, rule.rule_id,
-                              drain_deadline_s=args.drain_deadline)
-    runner.schedule(args.scenario, args.at)
-    trace = IbmCosTraceGenerator(seed=args.seed).busy_hour(
-        total_requests=args.requests)
-    if not args.json:
-        print(f"lifecycle drill '{args.scenario}' at t={args.at:.0f}s over "
-              f"{len(trace)} requests (chaos={'on' if args.chaos else 'off'}, "
-              f"hedging={'on' if getattr(args, 'hedging', False) else 'off'}, "
-              f"drain deadline "
-              f"{runner.drain_deadline_s:.0f}s) ...")
-    stats = TraceReplayer(cloud, src).replay_all(trace)
-    cloud.apply_chaos(None)
-    convergence = service.run_to_convergence()
-    audit = ReplicationAuditor(service).audit(quiescent=True)
-    scanner = AntiEntropyScanner(service)
-    repair = scanner.scan(rule, redrive=True, scrub=True, reap_uploads=True)
-    if repair.redriven:
-        convergence = service.run_to_convergence()
-        audit = ReplicationAuditor(service).audit(quiescent=True)
-        repair = scanner.scan(rule, redrive=False, scrub=True)
-    trace_report = TraceChecker(service).check()
-    pending = service.pending_count()
-    engine = rule.engine.stats
-    executed = len(runner.reports) == 1
-    proc = runner.reports[0] if runner.reports else None
+    run = _replay_setup(args, _STORM if args.chaos else None)
+    run.ops = OperationsRunner(run.service, run.rule.rule_id,
+                               drain_deadline_s=args.drain_deadline)
+    run.ops.schedule(args.scenario, args.at)
+    run.header = (f"lifecycle drill '{args.scenario}' at t={args.at:.0f}s "
+                  f"over {len(run.trace)} requests "
+                  f"(chaos={'on' if args.chaos else 'off'}, "
+                  f"hedging={'on' if args.hedging else 'off'}, "
+                  f"drain deadline {run.ops.drain_deadline_s:.0f}s) ...")
+    return run
+
+
+def _lifecycle_fields(run) -> dict:
+    stats, reports = run.rule.engine.stats, run.ops.reports
+    proc = reports[0] if len(reports) == 1 else None
     # Per-scenario engagement: the drill must exercise the procedure,
     # not vacuously pass on a schedule that never fired.
-    if args.scenario == "evacuate":
-        engaged = (executed and engine["cordons"] >= 3 and proc.deadline_met
-                   and (proc.migrated > 0 or engine["parked"] > 0))
-    elif args.scenario == "rolling":
-        engaged = executed and engine["checkpoints"] >= 1
+    if proc is None:
+        engaged = False
+    elif run.args.scenario == "evacuate":
+        engaged = (stats["cordons"] >= 3 and proc.deadline_met
+                   and (proc.migrated > 0 or stats["parked"] > 0))
+    elif run.args.scenario == "rolling":
+        engaged = stats["checkpoints"] >= 1
     else:
-        engaged = (executed and engine["switchovers"] >= 1
-                   and proc.deadline_met and proc.migrated > 0)
-    clean = (engaged and convergence.converged and audit.clean
-             and repair.clean and trace_report.clean and pending == 0)
-
-    if args.json:
-        _print_json(_machine_report(cloud, service, rule, {
-            "requests": stats.requests,
-            "lifecycle": [r.to_dict() for r in runner.reports],
-            "engaged": engaged,
-            "chaos": bool(args.chaos),
-            "convergence": {
-                "converged": convergence.converged,
-                "rounds": convergence.rounds,
-                "redriven": convergence.redriven,
-                "residual_dead_letters": convergence.residual_dead_letters,
-                "parked_backlog": convergence.parked_backlog,
-                "backlog_peak": convergence.backlog_peak,
-                "drained": convergence.drained,
-            },
-            "audit_clean": audit.clean,
-            "repair": repair.to_dict(),
-            "trace_clean": trace_report.clean,
-            "trace_checked": trace_report.checked,
-            "trace_findings": [str(f) for f in trace_report.findings],
-            "pending_measurements": pending,
-            "result": "PASS" if clean else "FAIL",
-        }, scenario=f"lifecycle-{args.scenario}", seed=args.seed,
-            passed=clean))
-        return 0 if clean else 1
-
-    print(f"replayed {stats.requests} requests "
-          f"({stats.bytes_written / 1e9:.2f} GB)")
-    print("lifecycle:")
-    for r in runner.reports:
-        d = r.to_dict()
-        print(f"  {d['scenario']} at {d['region']} "
-              f"t=[{d['started_at']:.1f}, {d['finished_at']:.1f}]s: "
-              f"inflight={d['inflight_before']} drained={d['drained']} "
-              f"migrated={d['migrated']} "
-              f"deadline={'met' if d['deadline_met'] else 'MISSED'} "
-              f"restored={d['restored']} remirrored={d['remirrored']}")
-    for name in ("cordons", "drained_parts", "migrated_tasks",
-                 "checkpoints", "switchovers", "parked", "drained"):
-        print(f"  {name:<26} {engine[name]}")
-    print("recovery: " + convergence.render())
-    print(f"quiescent audit ({pending} pending measurement(s)):")
-    print(audit.render())
-    print(repair.render())
-    print(trace_report.render())
-    print("RESULT: " + ("PASS" if clean else "FAIL"))
-    if not engaged:
-        print("  (the procedure never engaged — move --at inside the "
-              "trace or raise --requests)", file=sys.stderr)
-    return 0 if clean else 1
+        engaged = (stats["switchovers"] >= 1 and proc.deadline_met
+                   and proc.migrated > 0)
+    return {"lifecycle": [r.to_dict() for r in reports], "engaged": engaged,
+            "chaos": bool(run.args.chaos)}
 
 
-def cmd_tenant_drill(args) -> int:
+def _lifecycle_lines(run, f) -> list[str]:
+    lines = ["lifecycle:"]
+    for d in f["lifecycle"]:
+        lines.append(
+            f"  {d['scenario']} at {d['region']} "
+            f"t=[{d['started_at']:.1f}, {d['finished_at']:.1f}]s: "
+            f"inflight={d['inflight_before']} drained={d['drained']} "
+            f"migrated={d['migrated']} "
+            f"deadline={'met' if d['deadline_met'] else 'MISSED'} "
+            f"restored={d['restored']} remirrored={d['remirrored']}")
+    lines += _counters(run.rule.engine.stats,
+                       ("cordons", "drained_parts", "migrated_tasks",
+                        "checkpoints", "switchovers", "parked", "drained"))
+    if not f["engaged"]:
+        lines.append("  (the procedure never engaged — move --at inside "
+                     "the trace or raise --requests)")
+    return lines
+
+
+def _tenant(args):
     """Multi-tenant control-plane drill: thousands of tenants, sharded.
 
     Registers ``--tenants`` tenants (each with its own src/dst bucket
@@ -775,170 +636,88 @@ def cmd_tenant_drill(args) -> int:
     and both the budget machinery (deferrals) and the fair-share
     scheduler (waits) actually engaged rather than vacuously passing.
     """
-    from repro.core.audit import ReplicationAuditor
-    from repro.core.config import ReplicaConfig, TenantConfig
-    from repro.core.invariants import TraceChecker
-    from repro.core.repair import AntiEntropyScanner
-    from repro.core.service import AReplicaService
-    from repro.simcloud.cloud import build_default_cloud
-    from repro.simcloud.cost import estimate_task_cost
-    from repro.simcloud.objectstore import Blob
-
-    cloud = build_default_cloud(seed=args.seed)
-    config = ReplicaConfig(profile_samples=args.profile_samples,
-                           tracing_enabled=True)
-    service = AReplicaService(cloud, config)
-    service.enable_multitenancy(shards=args.shards,
-                                max_concurrent=args.max_concurrent)
-
-    # One offline profiling pass covers every tenant: the performance
-    # model is keyed by region path, and all tenants ride one pair.
-    probe_src = cloud.bucket(args.src, "profile-probe-src")
-    probe_dst = cloud.bucket(args.dst, "profile-probe-dst")
-    service.profiler.ensure_path(args.src, probe_src, probe_dst)
-    if args.dst != args.src:
-        service.profiler.ensure_path(args.dst, probe_src, probe_dst)
-
-    size = args.object_size
     # The Zipf head's per-window arrival rate exceeds the budget, so the
     # hot tenants exhaust and defer; the budget still clears the
     # steady-state drain, so the lane empties within a few windows after
     # the horizon.  Budgeted tenants trade latency for spend — their SLO
     # covers that drain; everyone else keeps the tight default.
-    task_cost = estimate_task_cost(cloud.prices, probe_src.region,
-                                   probe_dst.region, size)
-    budget = args.budget_tasks * task_cost
     budgeted_slo = args.horizon + 12 * args.budget_window
-    states = []
-    for i in range(args.tenants):
-        tid = f"t{i:05d}"
-        src = cloud.bucket(args.src, f"{tid}-src")
-        dst = cloud.bucket(args.dst, f"{tid}-dst")
-        budgeted = i < args.budgeted_tenants
-        tc = TenantConfig(
-            tenant_id=tid,
-            buckets=(src.name, dst.name),
-            slo_target_s=budgeted_slo if budgeted else args.tenant_slo,
-            budget_usd=budget if budgeted else None,
-            budget_window_s=args.budget_window,
-            weight=1.0 + (i % 4),
-        )
-        states.append(service.add_tenant(tc, src, dst))
 
+    def tenant(i, budget):
+        budgeted = i < args.budgeted_tenants
+        return dict(tenant_id=f"t{i:05d}",
+                    slo_target_s=budgeted_slo if budgeted else args.tenant_slo,
+                    budget_usd=budget if budgeted else None,
+                    weight=1.0 + (i % 4))
+
+    run = _tenant_setup(args, tenant)
     # Seeded skewed workload: a warm-up burst of one PUT per tenant (so
     # every tenant has work to converge, and the burst outruns the
     # dispatch gate — that is what makes the fair-share ring queue),
     # then Zipf-ranked traffic pointed at the head — the hot tenants
     # that hold the tight budgets.
-    rng = cloud.rngs.stream("tenant-drill")
-    horizon = args.horizon
-    keyspace = 8
-    puts = []
-    for i, state in enumerate(states):
-        t = (i / max(1, len(states))) * min(10.0, horizon / 16)
-        puts.append((t, state, f"obj-{i % keyspace}"))
-    ranks = rng.zipf(1.3, size=max(0, args.requests - len(states)))
-    for j, rank in enumerate(ranks):
+    rng = run.cloud.rngs.stream("tenant-drill")
+    states, horizon, keyspace = run.states, args.horizon, 8
+    puts = [((i / max(1, len(states))) * min(10.0, horizon / 16), state,
+             f"obj-{i % keyspace}") for i, state in enumerate(states)]
+    for rank in rng.zipf(1.3, size=max(0, args.requests - len(states))):
         state = states[int(rank - 1) % len(states)]
         t = float(rng.random()) * horizon
         puts.append((t, state, f"obj-{int(rng.integers(keyspace))}"))
-    base = cloud.sim.now   # offline profiling consumed simulated time
-    for t, state, key in puts:
-        cloud.sim.call_at(
-            base + t, lambda b=state.src_bucket, k=key: b.put_object(
-                k, Blob.fresh(size), cloud.sim.now))
+    _schedule_puts(run, puts)
+    run.header = (f"tenant drill: {args.tenants} tenants on {args.shards} "
+                  f"shard(s), {len(puts)} PUTs over {horizon:.0f}s, "
+                  f"{args.budgeted_tenants} budgeted at "
+                  f"${run.budget:.6f}/{args.budget_window:.0f}s ...")
+    return run
 
-    if not args.json:
-        print(f"tenant drill: {args.tenants} tenants on {args.shards} "
-              f"shard(s), {len(puts)} PUTs over {horizon:.0f}s, "
-              f"{args.budgeted_tenants} budgeted at "
-              f"${budget:.6f}/{args.budget_window:.0f}s ...")
 
-    convergence = service.run_to_convergence()
-    audit = ReplicationAuditor(service).audit(quiescent=True)
-    repair = AntiEntropyScanner(service).scan(redrive=True, scrub=True,
-                                              reap_uploads=True)
-    if repair.redriven:
-        convergence = service.run_to_convergence()
-        audit = ReplicationAuditor(service).audit(quiescent=True)
-        repair = AntiEntropyScanner(service).scan(redrive=False, scrub=True)
-    trace_report = TraceChecker(service).check()
-    isolation_findings = trace_report.by_kind("tenant-isolation")
+def _tenant_fields(run) -> dict:
+    f = _tenant_verdicts(run)
+    rows = f["tenant_verdicts"].values()
+    f.update(
+        shards=run.args.shards,
+        isolation_findings=len(run.trace_report.by_kind("tenant-isolation")),
+        slo_miss_tenants=sorted(t for t, row in f["tenant_verdicts"].items()
+                                if not row["slo_ok"]),
+        total_deferred=sum(row["deferred"] for row in rows),
+        total_fairshare_waits=sum(row["fairshare_waits"] for row in rows))
+    f["engaged"] = f["total_deferred"] > 0 and f["total_fairshare_waits"] > 0
+    return f
 
-    tenants = service.tenant_summary()
-    unconverged = sorted(t for t, row in tenants.items()
-                         if not row["converged"])
-    slo_misses = sorted(t for t, row in tenants.items() if not row["slo_ok"])
-    over_admitted = sorted(t for t, row in tenants.items()
-                           if row["over_admissions"] > 0)
-    total_deferred = sum(row["deferred"] for row in tenants.values())
-    total_waits = sum(row["fairshare_waits"] for row in tenants.values())
-    engaged = total_deferred > 0 and total_waits > 0
-    clean = (convergence.converged and audit.clean and repair.clean
-             and trace_report.clean and not isolation_findings
-             and not unconverged and not slo_misses and not over_admitted
-             and len(tenants) == args.tenants and engaged
-             and service.pending_count() == 0)
 
-    if args.json:
-        _print_json(_machine_report(cloud, service, None, {
-            "tenants": len(tenants),
-            "shards": args.shards,
-            "requests": len(puts),
-            "convergence": {
-                "converged": convergence.converged,
-                "rounds": convergence.rounds,
-                "redriven": convergence.redriven,
-                "residual_dead_letters": convergence.residual_dead_letters,
-                "parked_backlog": convergence.parked_backlog,
-                "deferred_tenant_tasks": convergence.deferred_tenant_tasks,
-            },
-            "audit_clean": audit.clean,
-            "repair": repair.to_dict(),
-            "trace_clean": trace_report.clean,
-            "trace_checked": trace_report.checked,
-            "trace_findings": [str(f) for f in trace_report.findings],
-            "isolation_findings": len(isolation_findings),
-            "unconverged_tenants": unconverged,
-            "slo_miss_tenants": slo_misses,
-            "over_admitted_tenants": over_admitted,
-            "total_deferred": total_deferred,
-            "total_fairshare_waits": total_waits,
-            "engaged": engaged,
-            "tenant_verdicts": tenants,
-            "result": "PASS" if clean else "FAIL",
-        }, scenario="tenant-drill", seed=args.seed, passed=clean))
-        return 0 if clean else 1
+def _tenant_gates(run, f) -> bool:
+    return (not f["isolation_findings"] and not f["unconverged_tenants"]
+            and not f["slo_miss_tenants"] and not f["over_admitted_tenants"]
+            and f["tenants"] == run.args.tenants and f["engaged"])
 
-    busiest = sorted(tenants.items(), key=lambda kv: -kv[1]["events"])[:10]
-    print(f"{'tenant':<8} {'events':>7} {'admit':>6} {'defer':>6} "
-          f"{'reject':>7} {'waits':>6} {'spent_usd':>12} {'p99_s':>8} "
-          f"{'ok':>3}")
-    for tid, row in busiest:
+
+def _tenant_lines(run, f) -> list[str]:
+    tenants = f["tenant_verdicts"]
+    lines = [f"{'tenant':<8} {'events':>7} {'admit':>6} {'defer':>6} "
+             f"{'reject':>7} {'waits':>6} {'spent_usd':>12} {'p99_s':>8} "
+             f"{'ok':>3}"]
+    for tid, row in sorted(tenants.items(),
+                           key=lambda kv: -kv[1]["events"])[:10]:
         ok = row["converged"] and row["slo_ok"] and not row["over_admissions"]
-        print(f"{tid:<8} {row['events']:>7} {row['admitted']:>6} "
-              f"{row['deferred']:>6} {row['rejected']:>7} "
-              f"{row['fairshare_waits']:>6} "
-              f"{row['lifetime_spent_usd']:>12.6f} "
-              f"{row['delay_p99_s']:>8.1f} {'ok' if ok else 'NO':>3}")
-    print(f"converged {len(tenants) - len(unconverged)}/{len(tenants)} "
-          f"tenant(s); {total_deferred} deferral(s), {total_waits} "
-          f"fair-share wait(s)")
-    print("recovery: " + convergence.render())
-    print(audit.render())
-    print(repair.render())
-    print(trace_report.render())
-    if unconverged:
-        print(f"  unconverged: {', '.join(unconverged[:10])} ...")
-    if slo_misses:
-        print(f"  SLO misses: {', '.join(slo_misses[:10])} ...")
-    if over_admitted:
-        print(f"  over-admitted: {', '.join(over_admitted[:10])} ...")
-    print("RESULT: " + ("PASS" if clean else "FAIL"))
-    return 0 if clean else 1
+        lines.append(f"{tid:<8} {row['events']:>7} {row['admitted']:>6} "
+                     f"{row['deferred']:>6} {row['rejected']:>7} "
+                     f"{row['fairshare_waits']:>6} "
+                     f"{row['lifetime_spent_usd']:>12.6f} "
+                     f"{row['delay_p99_s']:>8.1f} {'ok' if ok else 'NO':>3}")
+    lines.append(f"converged {len(tenants) - len(f['unconverged_tenants'])}/"
+                 f"{len(tenants)} tenant(s); {f['total_deferred']} "
+                 f"deferral(s), {f['total_fairshare_waits']} fair-share "
+                 f"wait(s)")
+    for label, key in (("unconverged", "unconverged_tenants"),
+                       ("SLO misses", "slo_miss_tenants"),
+                       ("over-admitted", "over_admitted_tenants")):
+        if f[key]:
+            lines.append(f"  {label}: {', '.join(f[key][:10])} ...")
+    return lines
 
 
-def cmd_autopilot_drill(args) -> int:
+def _autopilot(args):
     """Closed-loop autopilot drill: surge + brownout, bounded recovery.
 
     Runs a small multi-tenant service with the SLO autopilot armed,
@@ -953,213 +732,242 @@ def cmd_autopilot_drill(args) -> int:
     the trace oracle (including the autopilot-discipline invariants:
     bounds, cooldowns, cordon holds) are all clean.
     """
-    from repro.core.audit import ReplicationAuditor
-    from repro.core.config import ReplicaConfig, TenantConfig
-    from repro.core.invariants import TraceChecker
-    from repro.core.repair import AntiEntropyScanner
-    from repro.core.service import AReplicaService
     from repro.simcloud.chaos import ChaosConfig
-    from repro.simcloud.cloud import build_default_cloud
-    from repro.simcloud.cost import estimate_task_cost
-    from repro.simcloud.objectstore import Blob
 
-    cloud = build_default_cloud(seed=args.seed)
-    hedging = {}
-    if getattr(args, "hedging", False):
-        hedging = dict(
-            hedging_enabled=True,
-            hedge_deadline_quantile=args.hedge_quantile,
-            hedge_min_samples=args.hedge_min_samples,
-            hedge_min_part_bytes=args.hedge_min_part_bytes,
-            max_clones_per_part=args.max_clones,
-        )
-    config = ReplicaConfig(
-        profile_samples=args.profile_samples,
-        tracing_enabled=True,
+    # Budgets are generous — this drill tests latency control, not
+    # admission control — but real: the burn-rate signal stays live and
+    # the gates still demand zero over-admissions and in-window spend.
+    run = _tenant_setup(
+        args, lambda i, budget: dict(tenant_id=f"ap{i:03d}",
+                                     slo_target_s=args.tenant_slo,
+                                     budget_usd=budget),
         enable_autopilot=True,
         autopilot_interval_s=args.autopilot_interval,
         autopilot_window_s=args.autopilot_window,
         autopilot_cooldown_s=args.cooldown,
-        autopilot_settle_s=args.settle_bound,
-        **hedging)
-    service = AReplicaService(cloud, config)
-    service.enable_multitenancy(shards=args.shards,
-                                max_concurrent=args.max_concurrent)
-
-    probe_src = cloud.bucket(args.src, "profile-probe-src")
-    probe_dst = cloud.bucket(args.dst, "profile-probe-dst")
-    service.profiler.ensure_path(args.src, probe_src, probe_dst)
-    if args.dst != args.src:
-        service.profiler.ensure_path(args.dst, probe_src, probe_dst)
-
-    size = args.object_size
-    # Budgets are generous — this drill tests latency control, not
-    # admission control — but real: the burn-rate signal stays live and
-    # gate (c) still demands zero over-admissions and in-window spend.
-    task_cost = estimate_task_cost(cloud.prices, probe_src.region,
-                                   probe_dst.region, size)
-    budget = args.budget_tasks * task_cost
-    states = []
-    for i in range(args.tenants):
-        tid = f"ap{i:03d}"
-        src = cloud.bucket(args.src, f"{tid}-src")
-        dst = cloud.bucket(args.dst, f"{tid}-dst")
-        tc = TenantConfig(
-            tenant_id=tid,
-            buckets=(src.name, dst.name),
-            slo_target_s=args.tenant_slo,
-            budget_usd=budget,
-            budget_window_s=args.budget_window,
-        )
-        states.append(service.add_tenant(tc, src, dst))
-
+        autopilot_settle_s=args.settle_bound)
     # Disturbance two: a WAN brownout of the destination region.  WAN
     # legs touching the region stall until the window closes — unlike a
     # FaaS outage there is no degraded route around it, so the tail
     # inflates and the controller must react.  Scheduled up front
     # (absolute windows), like outage-drill.
-    horizon = args.horizon
-    base = cloud.sim.now   # offline profiling consumed simulated time
-    brownout = (args.dst, base + args.brownout_at, args.brownout_duration)
-    storm = {}
-    if args.chaos:
-        storm = dict(crash_prob=0.02, notif_drop_prob=0.02,
-                     notif_dup_prob=0.02, kv_reject_prob=0.02,
-                     kv_delay_prob=0.02, wan_stall_prob=0.01)
-    cloud.apply_chaos(ChaosConfig(wan_outages=(brownout,), **storm))
-
+    brownout = (args.dst, run.base + args.brownout_at, args.brownout_duration)
+    run.cloud.apply_chaos(ChaosConfig(wan_outages=(brownout,),
+                                      **(_STORM if args.chaos else {})))
     # Steady baseline keeps every tenant's p99 window warm for the whole
     # run; disturbance one is a surge burst far above the dispatch
     # gate's drain rate, queueing work and blowing the windowed p99
     # through the target.
-    rng = cloud.rngs.stream("autopilot-drill")
-    puts = []
+    rng = run.cloud.rngs.stream("autopilot-drill")
+    states, puts = run.states, []
     for j in range(args.requests):
         state = states[j % len(states)]
-        t = float(rng.random()) * horizon
+        t = float(rng.random()) * args.horizon
         puts.append((t, state, f"obj-{j % 8}"))
     for j in range(args.surge_requests):
         state = states[int(rng.integers(len(states)))]
         t = args.surge_at + float(rng.random()) * args.surge_duration
         puts.append((t, state, f"surge-{j % 8}"))
-    for t, state, key in puts:
-        cloud.sim.call_at(
-            base + t, lambda b=state.src_bucket, k=key: b.put_object(
-                k, Blob.fresh(size), cloud.sim.now))
-
+    _schedule_puts(run, puts)
     # Arm the controller past the horizon so the post-brownout episode
     # can close (the p99 window must age the inflated samples out).
-    service.autopilot.start(horizon + 2 * args.settle_bound)
+    run.service.autopilot.start(args.horizon + 2 * args.settle_bound)
+    run.header = (f"autopilot drill: {args.tenants} tenants on {args.shards} "
+                  f"shard(s), {len(puts)} PUTs over {args.horizon:.0f}s; "
+                  f"surge at t={args.surge_at:.0f}s (+{args.surge_requests}), "
+                  f"brownout of {args.dst} at t={args.brownout_at:.0f}s "
+                  f"({args.brownout_duration:.0f}s, "
+                  f"chaos={'on' if args.chaos else 'off'}) ...")
+    return run
 
-    if not args.json:
-        print(f"autopilot drill: {args.tenants} tenants on {args.shards} "
-              f"shard(s), {len(puts)} PUTs over {horizon:.0f}s; surge at "
-              f"t={args.surge_at:.0f}s (+{args.surge_requests}), brownout "
-              f"of {args.dst} at t={args.brownout_at:.0f}s "
-              f"({args.brownout_duration:.0f}s, "
-              f"chaos={'on' if args.chaos else 'off'}) ...")
 
-    convergence = service.run_to_convergence()
-    cloud.apply_chaos(None)
-    autopilot = service.autopilot
-    autopilot.stop()
-    audit = ReplicationAuditor(service).audit(quiescent=True)
-    repair = AntiEntropyScanner(service).scan(redrive=True, scrub=True,
-                                              reap_uploads=True)
-    if repair.redriven:
-        convergence = service.run_to_convergence()
-        audit = ReplicationAuditor(service).audit(quiescent=True)
-        repair = AntiEntropyScanner(service).scan(redrive=False, scrub=True)
-    trace_report = TraceChecker(service).check()
+def _autopilot_fields(run) -> dict:
+    args, autopilot = run.args, run.service.autopilot
 
-    # Gate (a): the controller engaged on each disturbance — at least
-    # one actuation inside each disturbance's accounting window
-    # [start, start + settle bound].
+    # The controller engaged on a disturbance: actuations inside its
+    # accounting window [start, start + settle bound].
     def engaged_in(start: float) -> int:
-        lo, hi = base + start, base + start + args.settle_bound
+        lo, hi = run.base + start, run.base + start + args.settle_bound
         return sum(1 for a in autopilot.controller.changelog
                    if lo <= a.time <= hi)
-    surge_actuations = engaged_in(args.surge_at)
-    brownout_actuations = engaged_in(args.brownout_at)
 
-    # Gate (b): every disturbance episode closed (windowed p99 back
-    # under target) within the settle bound.
-    settles = list(autopilot.stats["settle_time_s"])
-    open_episodes = sum(1 for s, e in autopilot.episodes if e is None)
-    settled = (not open_episodes
-               and all(s <= args.settle_bound for s in settles))
+    f = _tenant_verdicts(run)
+    f.update(
+        chaos=bool(args.chaos),
+        autopilot=autopilot.snapshot(),
+        surge_actuations=engaged_in(args.surge_at),
+        brownout_actuations=engaged_in(args.brownout_at),
+        episodes=len(autopilot.episodes),
+        open_episodes=sum(1 for s, e in autopilot.episodes if e is None),
+        settle_times_s=list(autopilot.stats["settle_time_s"]),
+        settle_bound_s=args.settle_bound,
+        over_budget_tenants=sorted(
+            t for t, row in f["tenant_verdicts"].items()
+            if row["budget_usd"] is not None
+            and row["window_spent_usd"] > row["budget_usd"]))
+    return f
 
-    # Gate (c): spend stayed inside every tenant budget.
-    tenants = service.tenant_summary()
-    over_admitted = sorted(t for t, row in tenants.items()
-                           if row["over_admissions"] > 0)
-    over_budget = sorted(
-        t for t, row in tenants.items()
-        if row["budget_usd"] is not None
-        and row["window_spent_usd"] > row["budget_usd"])
-    unconverged = sorted(t for t, row in tenants.items()
-                         if not row["converged"])
 
-    clean = (convergence.converged and audit.clean and repair.clean
-             and trace_report.clean and not unconverged
-             and surge_actuations > 0 and brownout_actuations > 0
-             and settled and len(autopilot.episodes) >= 2
-             and not over_admitted and not over_budget
-             and service.pending_count() == 0)
+def _autopilot_gates(run, f) -> bool:
+    # Engaged on both disturbances, every episode settled within the
+    # bound, and spend inside every tenant budget.
+    return (f["surge_actuations"] > 0 and f["brownout_actuations"] > 0
+            and not f["open_episodes"] and f["episodes"] >= 2
+            and all(s <= f["settle_bound_s"] for s in f["settle_times_s"])
+            and not f["unconverged_tenants"]
+            and not f["over_admitted_tenants"]
+            and not f["over_budget_tenants"])
 
-    extra = {
-        "tenants": len(tenants),
-        "requests": len(puts),
-        "chaos": bool(args.chaos),
-        "autopilot": autopilot.snapshot(),
-        "surge_actuations": surge_actuations,
-        "brownout_actuations": brownout_actuations,
-        "episodes": len(autopilot.episodes),
-        "open_episodes": open_episodes,
-        "settle_times_s": settles,
-        "settle_bound_s": args.settle_bound,
-        "convergence": {
-            "converged": convergence.converged,
-            "rounds": convergence.rounds,
-            "redriven": convergence.redriven,
-            "residual_dead_letters": convergence.residual_dead_letters,
-            "parked_backlog": convergence.parked_backlog,
-            "deferred_tenant_tasks": convergence.deferred_tenant_tasks,
-        },
-        "audit_clean": audit.clean,
-        "repair": repair.to_dict(),
-        "trace_clean": trace_report.clean,
-        "trace_checked": trace_report.checked,
-        "trace_findings": [str(f) for f in trace_report.findings],
-        "unconverged_tenants": unconverged,
-        "over_admitted_tenants": over_admitted,
-        "over_budget_tenants": over_budget,
-        "tenant_verdicts": tenants,
-        "result": "PASS" if clean else "FAIL",
-    }
+
+def _autopilot_lines(run, f) -> list[str]:
+    stats = run.service.autopilot.stats
+    return [
+        f"actuations={stats['actuations']} clamps={stats['clamps']} "
+        f"cooldown_skips={stats['cooldown_skips']} "
+        f"cordon_holds={stats['cordon_holds']}",
+        f"engagement: surge={f['surge_actuations']} "
+        f"brownout={f['brownout_actuations']}; episodes={f['episodes']} "
+        f"({f['open_episodes']} open), settles="
+        f"{['%.0fs' % s for s in f['settle_times_s']]} "
+        f"(bound {f['settle_bound_s']:.0f}s)",
+    ] + [f"  {a}" for a in run.service.autopilot.controller.changelog]
+
+
+#: The drill subcommands, in drill-all's roster order.
+_DRILLS = {
+    "chaos-soak": _Drill(
+        _chaos_soak, verdicts=("CONVERGED", "DIVERGED"),
+        lines=lambda run, f: ["engine recovery:", *_counters(
+            run.rule.engine.stats,
+            ("lock_lost", "orphaned_uploads", "kv_retries",
+             "kv_retry_exhausted", "kv_retry_deadline", "aborted",
+             "retriggered", "parked", "drained"))]),
+    "outage-drill": _Drill(
+        _outage, _outage_fields, lambda run, f: f["degradation_engaged"],
+        _outage_lines, scan="redrive"),
+    "corruption-drill": _Drill(
+        _corruption, _corruption_fields,
+        lambda run, f: (f["accounted"] and f["rescrub_clean"]
+                        and len(run.scrub.by_kind("corrupt"))
+                        == len(run.rot_keys)),
+        _corruption_lines, settle=_rot_and_scrub),
+    "hedge-drill": _Drill(
+        _hedge, _hedge_fields,
+        lambda run, f: 0 < f["hedging"]["hedges"] == f["hedging"]["resolved"],
+        _hedge_lines),
+    "lifecycle-drill": _Drill(
+        _lifecycle, _lifecycle_fields, lambda run, f: f["engaged"],
+        _lifecycle_lines, scan="scrub",
+        convergence=("backlog_peak", "drained"),
+        name="lifecycle-{scenario}",
+        variants=tuple(("--scenario", s) for s in _LIFECYCLE_SCENARIOS)),
+    "tenant-drill": _Drill(
+        _tenant, _tenant_fields, _tenant_gates, _tenant_lines, scan="scrub",
+        convergence=("deferred_tenant_tasks",)),
+    "autopilot-drill": _Drill(
+        _autopilot, _autopilot_fields, _autopilot_gates, _autopilot_lines,
+        scan="scrub", convergence=("deferred_tenant_tasks",),
+        settle=lambda run: run.service.autopilot.stop(),
+        chaos_through_convergence=True),
+}
+
+
+def _run_drill(args) -> int:
+    """Run the drill ``args.command`` names and print its report."""
+    from repro.core.audit import ReplicationAuditor
+    from repro.core.invariants import TraceChecker
+    from repro.core.repair import AntiEntropyScanner
+    from repro.traces.replay import TraceReplayer
+
+    spec = _DRILLS[args.command]
+    run = spec.setup(args)
+    cloud, service = run.cloud, run.service
+    if not args.json:
+        print(run.header)
+    run.stats = None
+    if run.trace is not None:
+        run.stats = TraceReplayer(cloud, run.src).replay_all(run.trace)
+        run.requests = run.stats.requests
+    # The storm passes; whatever it broke must now self-heal.  An
+    # absolute-time disturbance window stays armed through convergence.
+    if not spec.chaos_through_convergence:
+        cloud.apply_chaos(None)
+    run.convergence = service.run_to_convergence()
+    cloud.apply_chaos(None)
+    if spec.settle is not None:
+        spec.settle(run)
+    auditor = ReplicationAuditor(service)
+    run.audit = auditor.audit(quiescent=True)
+    run.repair = None
+    if spec.scan:
+        # Repairs flow through the normal orchestration path; let them
+        # complete, then prove the diff is gone.
+        scanner = AntiEntropyScanner(service)
+        scrub = spec.scan == "scrub"
+        run.repair = scanner.scan(run.rule, redrive=True, scrub=scrub,
+                                  reap_uploads=scrub)
+        if run.repair.redriven:
+            run.convergence = service.run_to_convergence()
+            run.audit = auditor.audit(quiescent=True)
+            run.repair = scanner.scan(run.rule, redrive=False, scrub=scrub)
+    run.trace_report = TraceChecker(service).check()
+    run.pending = service.pending_count()
+    extra = spec.fields(run)
+    passed = bool(run.convergence.converged and run.audit.clean
+                  and (run.repair is None or run.repair.clean)
+                  and run.trace_report.clean and run.pending == 0
+                  and spec.gates(run, extra))
+    _render_drill(spec, run, extra, passed)
+    return 0 if passed else 1
+
+
+def _render_drill(spec: _Drill, run, extra: dict, passed: bool) -> None:
+    """Print a drill's shared JSON report (``--json``) or text report."""
+    args, cloud, conv = run.args, run.cloud, run.convergence
+    result = spec.verdicts[0] if passed else spec.verdicts[1]
     if args.json:
-        _print_json(_machine_report(cloud, service, None, extra,
-                                    scenario="autopilot-drill",
-                                    seed=args.seed, passed=clean))
-        return 0 if clean else 1
+        report = _machine_report(cloud, run.service, run.rule, {
+            "requests": run.requests,
+            "convergence": {name: getattr(conv, name)
+                            for name in _CONVERGENCE + spec.convergence},
+            "audit_clean": run.audit.clean,
+            "trace_clean": run.trace_report.clean,
+            "trace_checked": run.trace_report.checked,
+            "trace_findings": [str(f) for f in run.trace_report.findings],
+            "result": result,
+            **extra,
+        })
+        report.update({"scenario": spec.name.format(**vars(args)),
+                       "seed": args.seed, "pass": passed,
+                       "stats": dict(report["engine_stats"])})
+        if run.repair is not None:
+            report["repair"] = run.repair.to_dict()
+        # Multi-tenant drills judge pending work per tenant instead.
+        if run.rule is not None:
+            report["pending_measurements"] = run.pending
+        _print_json(report)
+        return
+    lines = []
+    if run.stats is not None:
+        lines.append(f"replayed {run.stats.requests} requests "
+                     f"({run.stats.bytes_written / 1e9:.2f} GB)")
+    injected = {k: v for k, v in cloud.chaos_stats().items() if v}
+    if injected:
+        lines += ["injected faults:", *_counters(injected, injected)]
+    lines += spec.lines(run, extra)
+    lines += ["dead-letter drain: " + conv.render(),
+              f"quiescent audit ({run.pending} pending measurement(s)):",
+              run.audit.render()]
+    if run.repair is not None:
+        lines.append(run.repair.render())
+    lines += [run.trace_report.render(), "RESULT: " + result]
+    print("\n".join(lines))
 
-    ap_stats = autopilot.stats
-    print(f"actuations={ap_stats['actuations']} clamps={ap_stats['clamps']} "
-          f"cooldown_skips={ap_stats['cooldown_skips']} "
-          f"cordon_holds={ap_stats['cordon_holds']}")
-    print(f"engagement: surge={surge_actuations} "
-          f"brownout={brownout_actuations}; episodes="
-          f"{len(autopilot.episodes)} ({open_episodes} open), settles="
-          f"{['%.0fs' % s for s in settles]} (bound "
-          f"{args.settle_bound:.0f}s)")
-    for a in autopilot.controller.changelog:
-        print(f"  {a}")
-    print("recovery: " + convergence.render())
-    print(audit.render())
-    print(repair.render())
-    print(trace_report.render())
-    print("RESULT: " + ("PASS" if clean else "FAIL"))
-    return 0 if clean else 1
+
+# The drill subcommands; drill-all resolves these names at call time.
+cmd_chaos_soak = cmd_outage_drill = cmd_corruption_drill = _run_drill
+cmd_hedge_drill = cmd_lifecycle_drill = _run_drill
+cmd_tenant_drill = cmd_autopilot_drill = _run_drill
 
 
 def cmd_drill_all(args) -> int:
@@ -1168,71 +976,53 @@ def cmd_drill_all(args) -> int:
     Each drill runs in its own freshly-seeded simulation with its
     default knobs and ``--json`` output captured; the shared report
     schema (scenario, seed, pass, stats) lets this aggregator treat
-    chaos, outage, corruption, hedging, and the three lifecycle drills
-    uniformly.  This is the standing regression harness for every
-    recovery path the repo has accumulated.
+    every drill uniformly.  This is the standing regression harness
+    for every recovery path the repo has accumulated.
     """
     import contextlib
     import io
     import json
 
-    drills = [
-        ("chaos-soak", cmd_chaos_soak, ["chaos-soak"]),
-        ("outage-drill", cmd_outage_drill, ["outage-drill"]),
-        ("corruption-drill", cmd_corruption_drill, ["corruption-drill"]),
-        ("hedge-drill", cmd_hedge_drill, ["hedge-drill"]),
-        ("lifecycle-evacuate", cmd_lifecycle_drill,
-         ["lifecycle-drill", "--scenario", "evacuate"]),
-        ("lifecycle-rolling", cmd_lifecycle_drill,
-         ["lifecycle-drill", "--scenario", "rolling"]),
-        ("lifecycle-switchover", cmd_lifecycle_drill,
-         ["lifecycle-drill", "--scenario", "switchover"]),
-        ("tenant-drill", cmd_tenant_drill, ["tenant-drill"]),
-        ("autopilot-drill", cmd_autopilot_drill, ["autopilot-drill"]),
-    ]
     parser = build_parser()
     rows = []
     reports = []
-    all_pass = True
-    for name, handler, argv in drills:
-        if not args.json:
-            print(f"drill-all: running {name} (seed {args.seed}) ...",
-                  file=sys.stderr)
-        sub_args = parser.parse_args(
-            argv + ["--seed", str(args.seed), "--json"])
-        buf = io.StringIO()
-        # A drill that crashes, or that emits an unparseable report, is
-        # a FAIL for that scenario — never a pass by omission, and never
-        # a traceback that aborts the remaining drills (the aggregate
-        # exit code must reflect *every* scenario's verdict).
-        try:
-            with contextlib.redirect_stdout(buf):
-                code = handler(sub_args)
-            report = json.loads(buf.getvalue())
-        except Exception as exc:  # noqa: BLE001 - drill isolation barrier
-            print(f"drill-all: {name} raised "
-                  f"{type(exc).__name__}: {exc}", file=sys.stderr)
-            report = {"scenario": name, "seed": args.seed, "pass": False,
-                      "error": f"{type(exc).__name__}: {exc}"}
-            code = 1
-        passed = code == 0 and report.get("pass", False)
-        all_pass = all_pass and passed
-        rows.append((report.get("scenario", name),
-                     report.get("seed", args.seed), passed))
-        reports.append(report)
+    for command, spec in _DRILLS.items():
+        handler = globals()["cmd_" + command.replace("-", "_")]
+        for variant in spec.variants:
+            sub_args = parser.parse_args(
+                [command, *variant, "--seed", str(args.seed), "--json"])
+            name = spec.name.format(**vars(sub_args))
+            if not args.json:
+                print(f"drill-all: running {name} (seed {args.seed}) ...",
+                      file=sys.stderr)
+            buf = io.StringIO()
+            # A drill that crashes, or that emits an unparseable report,
+            # is a FAIL for that scenario — never a pass by omission, and
+            # never a traceback that aborts the remaining drills (the
+            # aggregate exit code must reflect *every* scenario's verdict).
+            try:
+                with contextlib.redirect_stdout(buf):
+                    code = handler(sub_args)
+                report = json.loads(buf.getvalue())
+            except Exception as exc:  # noqa: BLE001 - drill isolation barrier
+                print(f"drill-all: {name} raised "
+                      f"{type(exc).__name__}: {exc}", file=sys.stderr)
+                report = {"scenario": name, "seed": args.seed, "pass": False,
+                          "error": f"{type(exc).__name__}: {exc}"}
+                code = 1
+            rows.append({"scenario": report.get("scenario", name),
+                         "seed": report.get("seed", args.seed),
+                         "pass": code == 0 and report.get("pass", False)})
+            reports.append(report)
+    all_pass = all(row["pass"] for row in rows)
     if args.json:
-        _print_json({
-            "seed": args.seed,
-            "pass": all_pass,
-            "drills": [{"scenario": s, "seed": sd, "pass": p}
-                       for s, sd, p in rows],
-            "reports": reports,
-        })
+        _print_json({"seed": args.seed, "pass": all_pass, "drills": rows,
+                     "reports": reports})
         return 0 if all_pass else 1
     print(f"{'scenario':<24} {'seed':>5} {'result':>8}")
-    for scenario, seed, passed in rows:
-        print(f"{scenario:<24} {seed:>5} "
-              f"{'PASS' if passed else 'FAIL':>8}")
+    for row in rows:
+        print(f"{row['scenario']:<24} {row['seed']:>5} "
+              f"{'PASS' if row['pass'] else 'FAIL':>8}")
     print("RESULT: " + ("PASS" if all_pass else "FAIL"))
     return 0 if all_pass else 1
 
@@ -1444,7 +1234,9 @@ def build_parser() -> argparse.ArgumentParser:
     def hedging_knobs(p, default_on=False):
         """Hedging flags: the drills accept --hedging to ride along;
         hedge-drill forces it on and exposes the tuning knobs."""
-        if not default_on:
+        if default_on:
+            p.set_defaults(hedging=True)
+        else:
             p.add_argument("--hedging", action="store_true",
                            help="enable speculative straggler cloning")
         p.add_argument("--hedge-quantile", type=float, default=0.95,
@@ -1563,7 +1355,7 @@ def build_parser() -> argparse.ArgumentParser:
              "verify zero loss/duplication/divergence")
     common(lifecycle, with_size=False)
     lifecycle.add_argument("--scenario", required=True,
-                           choices=("evacuate", "rolling", "switchover"),
+                           choices=_LIFECYCLE_SCENARIOS,
                            help="which planned disruption to execute")
     lifecycle.add_argument("--requests", type=int, default=400)
     lifecycle.add_argument("--at", type=float, default=600.0,
